@@ -6,8 +6,8 @@ classes through the stages, reproduces the cohomological embedding
 obstruction, and emits machine-checkable certificates separating the
 radii of comparison of the two distinguished corners while the order-two
 flip exchanges their classes.  All certified claims are exact rational
-comparisons; floating point only ever appears as an optional fast
-carrier for grid simulations.
+comparisons, and the trace-side grid simulations are exact as well: the
+package uses no floating point and has no runtime dependency.
 """
 
 from .chern import (
@@ -57,7 +57,6 @@ from .rcbounds import (
 )
 from .telescope import TelescopeResult, WeierstrassResult, telescope, weierstrass_check
 from .tracesim import (
-    AffinePair,
     FlipReport,
     GapSeries,
     GridFunction,
@@ -82,7 +81,6 @@ from .tracesim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePair",
     "BottShape",
     "ConsistencyError",
     "ConstraintReport",

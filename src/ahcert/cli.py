@@ -1,7 +1,8 @@
 """Command-line interface: every capability as a subcommand with JSON reports.
 
 Exit codes: 0 certified / verified, 1 refuted by an exact counter-witness,
-2 inconclusive at the given horizon, 3 malformed input.
+2 inconclusive at the given horizon, 3 malformed input (including usage
+errors), 4 internal failure (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .pipeline import (
     EXIT_CERTIFIED,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_REFUTED,
     SCHEMA_VERSION,
     build_family,
@@ -50,8 +52,17 @@ SUBCOMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input (exit 3), not argparse's exit 2,
+    which would read as InconclusiveAtHorizon."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ahcert",
         description=(
             "exact-arithmetic certification for a two-tower diagonal system: "
@@ -69,13 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int)
         p.add_argument("--rho", help="rational p/q")
         p.add_argument("--grid", type=int, help="grid resolution")
-        carrier = p.add_mutually_exclusive_group()
-        carrier.add_argument(
-            "--exact", dest="carrier", action="store_const", const="exact"
-        )
-        carrier.add_argument(
-            "--float", dest="carrier", action="store_const", const="float"
-        )
         p.add_argument("--out", help="write the JSON report to this path")
 
     for name in ("params", "certify", "rc-lower", "rc-upper"):
@@ -127,7 +131,7 @@ def load_config(args: argparse.Namespace) -> dict:
             if key in spec:
                 config[key] = spec[key]
         config.setdefault("family", "explicit")
-    for key in ("family", "N", "horizon", "rho", "grid", "carrier", "out"):
+    for key in ("family", "N", "horizon", "rho", "grid", "out"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -139,7 +143,7 @@ def emit(payload: dict, out_path, exit_code: int) -> int:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"{payload.get('verdict', payload.get('status', 'report'))}: {out_path}")
+        print(f"{payload['verdict']}: {out_path}")
     else:
         sys.stdout.write(text)
     return exit_code
@@ -186,7 +190,7 @@ def cmd_rc_lower(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": config_echo(cfg),
-            "status": "InconclusiveAtHorizon",
+            "verdict": "InconclusiveAtHorizon",
             "reason": str(exc),
         }
         return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
@@ -272,21 +276,17 @@ def cmd_trace_sim(args) -> int:
     horizon = max(cfg["horizon"], stages)
     table = sequences(family, horizon)
     system_a, system_b = tracesim.synthetic_system_pair(table, stages)
-    v = tracesim.GridFunction.from_callable(
-        lambda x: x, cfg["grid"], carrier=cfg["carrier"]
-    )
+    v = tracesim.GridFunction.from_callable(lambda x: x, cfg["grid"])
     result = tracesim.simulate_intertwining(system_a, system_b, v, 0, stages)
     series = tracesim.gap_series(table)
     flip = tracesim.flip_compatibility(table)
-    fmt = q if cfg["carrier"] == "exact" else (lambda x: float(x))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config_echo(cfg),
         "intertwining": {
             "stages": stages,
-            "carrier": result.carrier,
-            "step_distances": [fmt(d) for d in result.step_distances],
-            "step_bounds": [fmt(b) for b in result.step_bounds],
+            "step_distances": [q(d) for d in result.step_distances],
+            "step_bounds": [q(b) for b in result.step_bounds],
             "all_within_bounds": result.all_within_bounds,
             "synthetic_maps": True,
         },
@@ -338,8 +338,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -349,10 +349,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
+        return EXIT_INTERNAL_ERROR
     except InconclusiveAtHorizon as exc:
         print(f"inconclusive at horizon: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as exc:  # the outermost boundary: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -163,6 +163,14 @@ def make_explicit_family(
     )
 
 
+def evaluation_fraction(j: int, d_j: int, k_j: int) -> Fraction:
+    """k(j)/l(j) for stage j, refusing a stage with no summands."""
+    l_j = d_j + k_j
+    if l_j == 0:
+        raise InputError(f"l({j}) = 0: stage {j} has no summands")
+    return Fraction(k_j, l_j)
+
+
 def geometric_ratio_majorant(d: Sequence[int], k: Sequence[int], N: int):
     """Tail majorant asserting k(j)/l(j) <= N^-j, verified on the given range.
 
@@ -172,14 +180,46 @@ def geometric_ratio_majorant(d: Sequence[int], k: Sequence[int], N: int):
     if N < 2:
         raise InputError(f"majorant ratio base must be >= 2, got {N}")
     for j in range(1, len(d)):
-        lj = d[j] + k[j]
-        if lj == 0 or Fraction(k[j], lj) > Fraction(1, N ** j):
+        if evaluation_fraction(j, d[j], k[j]) > Fraction(1, N ** j):
             raise InputError(
                 f"k({j})/l({j}) exceeds {N}^-{j}; geometric majorant unsound"
             )
 
     def tail(n: int) -> Fraction:
         return Fraction(1, N ** n * (N - 1))
+
+    return tail
+
+
+def table_majorant(d: Sequence[int], k: Sequence[int], values: Sequence):
+    """Tail majorant read from an explicit table, verified on the given range.
+
+    ``values[n]`` must bound sum_{j>n} k(j)/l(j).  The table must cover
+    every supplied stage, be nonnegative and nonincreasing, and each value
+    is checked exactly against the sum over the supplied stages j > n;
+    the caller asserts the bound for stages beyond the list.
+    """
+    values = tuple(as_fraction(v) for v in values)
+    if len(values) < len(d):
+        raise InputError("tail table must cover every supplied stage")
+    if any(b > a for a, b in zip(values, values[1:])):
+        raise InputError("tail table must be nonincreasing")
+    if any(v < 0 for v in values):
+        raise InputError("tail table values must be nonnegative")
+    supplied_tail = Fraction(0)  # sum_{j>n} k(j)/l(j) over supplied stages
+    for n in range(len(d) - 1, -1, -1):
+        if values[n] < supplied_tail:
+            raise InputError(
+                f"tail table value {values[n]} at stage {n} is below the sum "
+                f"{supplied_tail} of k(j)/l(j) over the supplied stages j > {n}"
+            )
+        if n > 0:
+            supplied_tail += evaluation_fraction(n, d[n], k[n])
+
+    def tail(n: int) -> Fraction:
+        if not 0 <= n < len(values):
+            raise InputError(f"tail table covers 0..{len(values) - 1}, got {n}")
+        return values[n]
 
     return tail
 
@@ -220,16 +260,15 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
     d = [family.d(n) for n in range(horizon + 1)]
     k = [family.k(n) for n in range(horizon + 1)]
     l = [dn + kn for dn, kn in zip(d, k)]
+    eval_fracs = [evaluation_fraction(j, d[j], k[j]) for j in range(1, horizon + 1)]
     r = list(itertools.accumulate(l, lambda acc, x: acc * x))
     s = list(itertools.accumulate(d, lambda acc, x: acc * x))
     t = [0]
     for n in range(horizon):
         t.append(d[n + 1] * t[n] + k[n + 1] * (r[n] - t[n]))
 
-    if l[1] == 0:
-        raise InputError("l(1) = 0: stage 1 has no summands")
-    omega = Fraction(k[1], l[1])
-    partial = sum((Fraction(k[j], l[j]) for j in range(2, horizon + 1)), Fraction(0))
+    omega = eval_fracs[0]
+    partial = sum(eval_fracs[1:], Fraction(0))
     kappa_ub = Fraction(s[horizon], r[horizon])
 
     if family.horizon_limited:
@@ -261,6 +300,13 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
     )
 
 
+def _certified_table(family: ParamFamily, n: int) -> SequenceTable:
+    """sequences(family, n), refused for a family without a tail majorant."""
+    if family.horizon_limited:
+        raise InputError("family has no tail majorant; bounds are horizon-limited")
+    return sequences(family, n)
+
+
 def kappa_lower_bound(family: ParamFamily, n: int) -> Fraction:
     """Certified lower bound (s(n)/r(n)) * (1 - tail_majorant(n)) for kappa.
 
@@ -270,27 +316,22 @@ def kappa_lower_bound(family: ParamFamily, n: int) -> Fraction:
     by the Weierstrass product inequality, and s(m)/r(m) >= s(n)/r(n)
     >= the bound for m <= n since the ratio sequence is nonincreasing.
     A vacuous bound (tail >= 1) is returned as-is; callers should treat
-    kappa_lb <= 0 results as inconclusive rather than failed.
+    kappa_lb <= 0 results as inconclusive rather than failed.  The value
+    is the ``kappa_lb`` field of ``sequences(family, n)``.
     """
     if n < 1:
         raise InputError(f"kappa lower bound needs n >= 1, got {n}")
-    ratio = Fraction(1)
-    for j in range(1, n + 1):
-        lj = family.l(j)
-        if lj == 0:
-            raise InputError(f"l({j}) = 0: ratio s/r undefined")
-        ratio *= Fraction(family.d(j), lj)
-    return ratio * (1 - family.tail(n))
+    return _certified_table(family, n).kappa_lb
 
 
 def omega_prime_upper_bound(family: ParamFamily, n: int) -> Fraction:
-    """sum_{j=2..n} k(j)/l(j) + tail_majorant(n), an upper bound for omega'."""
+    """sum_{j=2..n} k(j)/l(j) + tail_majorant(n), an upper bound for omega'.
+
+    The value is the ``omega_prime_ub`` field of ``sequences(family, n)``.
+    """
     if n < 2:
         raise InputError(f"omega' upper bound needs n >= 2, got {n}")
-    partial = sum(
-        (Fraction(family.k(j), family.l(j)) for j in range(2, n + 1)), Fraction(0)
-    )
-    return partial + family.tail(n)
+    return _certified_table(family, n).omega_prime_ub
 
 
 @dataclass(frozen=True)

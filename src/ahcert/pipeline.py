@@ -8,8 +8,7 @@ canonical, so identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import rcbounds, tracesim
@@ -23,11 +22,12 @@ from .params import (
     make_explicit_family,
     make_geometric_family,
     sequences,
+    table_majorant,
 )
 from .rationals import as_fraction, format_rational
 from .tracesim import flip_compatibility, gap_series
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
@@ -37,6 +37,7 @@ EXIT_CERTIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 _VERDICT_EXIT = {
     VERDICT_CERTIFIED: EXIT_CERTIFIED,
@@ -168,11 +169,6 @@ def jsonable_separation(report: rcbounds.SeparationReport) -> dict:
 
 def jsonable_flip(report: tracesim.FlipReport) -> dict:
     return {
-        "involution": report.involution,
-        "order_unit_fixed": report.order_unit_fixed,
-        "positivity_preserved": report.positivity_preserved,
-        "intertwines_unit_embedding": report.intertwines_unit_embedding,
-        "swap_commutes_with_stages": report.swap_commutes_with_stages,
         "stages_verified": report.stages_verified,
         "holds": report.holds,
     }
@@ -199,7 +195,6 @@ DEFAULT_CONFIG = {
     "horizon": 40,
     "rho": None,
     "grid": tracesim.DEFAULT_RESOLUTION,
-    "carrier": "exact",
 }
 
 
@@ -208,6 +203,11 @@ def resolve_config(config: Optional[dict]) -> dict:
     for key, value in (config or {}).items():
         if value is not None:
             merged[key] = value
+    # The trace simulation is exact-only.  A config asking for another
+    # representation is refused rather than run with a different meaning.
+    representation = merged.pop("carrier", "exact")
+    if representation != "exact":
+        raise InputError(f"config 'carrier' must be 'exact', got {representation!r}")
     if merged["family"] not in ("geometric", "explicit"):
         raise InputError(f"unknown family kind {merged['family']!r}")
     try:
@@ -216,8 +216,6 @@ def resolve_config(config: Optional[dict]) -> dict:
         merged["grid"] = int(merged["grid"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed integer in configuration: {exc}") from exc
-    if merged["carrier"] not in (tracesim.EXACT, tracesim.FLOAT):
-        raise InputError(f"carrier must be 'exact' or 'float', got {merged['carrier']!r}")
     if merged["rho"] is not None:
         merged["rho"] = format_rational(as_fraction(merged["rho"]))
     return merged
@@ -232,29 +230,19 @@ def build_family(config: dict) -> ParamFamily:
         raise InputError("explicit family needs 'd' and 'k' lists")
     d = [int(x) for x in d]
     k = [int(x) for x in k]
+    # Validate d and k before a majorant divides by l(j).
+    family = make_explicit_family(d, k)
     tail_spec = config.get("tail") or {"type": "none"}
     tail_type = tail_spec.get("type", "none")
     if tail_type == "none":
-        majorant = None
-    elif tail_type == "geometric":
+        return family
+    if tail_type == "geometric":
         majorant = geometric_ratio_majorant(d, k, int(tail_spec["N"]))
     elif tail_type == "table":
-        values = [as_fraction(v) for v in tail_spec["values"]]
-        if len(values) < len(d):
-            raise InputError("tail table must cover every supplied stage")
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise InputError("tail table must be nonincreasing")
-        if any(v < 0 for v in values):
-            raise InputError("tail table values must be nonnegative")
-
-        def majorant(n: int, _vals=tuple(values)) -> Fraction:
-            if not 0 <= n < len(_vals):
-                raise InputError(f"tail table covers 0..{len(_vals) - 1}, got {n}")
-            return _vals[n]
-
+        majorant = table_majorant(d, k, tail_spec["values"])
     else:
         raise InputError(f"unknown tail majorant type {tail_type!r}")
-    return make_explicit_family(d, k, tail_majorant=majorant)
+    return replace(family, tail_majorant=majorant)
 
 
 def config_echo(config: dict) -> dict:
@@ -263,7 +251,6 @@ def config_echo(config: dict) -> dict:
         "horizon": config["horizon"],
         "rho": config["rho"],
         "grid": config["grid"],
-        "carrier": config["carrier"],
     }
     if config["family"] == "geometric":
         echo["N"] = config["N"]

@@ -49,4 +49,28 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value) -> str:
     """Render as "p/q" in lowest terms (always with the denominator)."""
     f = as_fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+
+
+#: Integers up to this bit length (about 600 digits) go through str()
+#: directly: that stays below every value sys.set_int_max_str_digits accepts.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n, however large.
+
+    Since Python 3.11 str() refuses integers beyond a digit limit (4300
+    digits by default); larger ones are split by a power of ten into
+    halves converted on their own, so no interpreter setting changes.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half of the digit count
+    high, low = divmod(n, 10 ** low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)

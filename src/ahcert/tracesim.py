@@ -1,16 +1,12 @@
 """Desk-scale simulation of the trace-space machinery on [0, 1].
 
-Functions live on a uniform grid over [0, 1]; pushing a function through
-one stage of a diagonal system averages its compositions with the
-stage's entry maps (piecewise-linear self-maps of the interval, or point
-evaluations).  The grid is only a carrier: the quantities being checked
-(per-step gaps, rounding errors, series totals) are exact rationals, and
-all sup norms are grid sup norms.
-
-Grid values may be exact rationals (default; every comparison against a
-stage-gap bound is then a theorem about the grid functions) or floats
-(fast, for exploration; comparisons are then reported with slack rather
-than asserted).
+Functions live on a uniform grid over [0, 1] and their samples are exact
+rationals; pushing a function through one stage of a diagonal system
+averages its compositions with the stage's entry maps (piecewise-linear
+self-maps of the interval, or point evaluations).  The quantities being
+checked (per-step gaps, rounding errors, series totals) are exact
+rationals, all sup norms are grid sup norms, and every comparison against
+a stage-gap bound is a theorem about the grid functions.
 """
 
 from __future__ import annotations
@@ -21,19 +17,12 @@ from fractions import Fraction
 from math import ceil
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ConsistencyError, InputError
 from .params import SequenceTable, check
+from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction
 
-EXACT = "exact"
-FLOAT = "float"
-
 DEFAULT_RESOLUTION = 2 ** 12
-
-#: Slack used when a float-carrier run evaluates an exact bound.
-FLOAT_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +62,6 @@ class PiecewiseLinearMap:
             return self.breakpoints[-1][1]
         (x0, y0), (x1, y1) = self.breakpoints[i], self.breakpoints[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def call_float(self, x: float) -> float:
-        xs = [float(p[0]) for p in self.breakpoints]
-        ys = [float(p[1]) for p in self.breakpoints]
-        return float(np.interp(x, xs, ys))
 
 
 def identity_map() -> PiecewiseLinearMap:
@@ -121,11 +105,10 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a function on the uniform grid {i/G : 0 <= i <= G}."""
+    """Exact samples of a function on the uniform grid {i/G : 0 <= i <= G}."""
 
     resolution: int
     values: tuple
-    carrier: str = EXACT
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -134,79 +117,54 @@ class GridFunction:
             raise InputError(
                 f"need {self.resolution + 1} samples, got {len(self.values)}"
             )
-        if self.carrier not in (EXACT, FLOAT):
-            raise InputError(f"unknown carrier {self.carrier!r}")
 
     @classmethod
-    def from_callable(cls, fn: Callable, resolution: int, carrier: str = EXACT):
-        if carrier == EXACT:
-            vals = tuple(fn(Fraction(i, resolution)) for i in range(resolution + 1))
-            vals = tuple(as_fraction(v) for v in vals)
-        else:
-            vals = tuple(float(fn(i / resolution)) for i in range(resolution + 1))
-        return cls(resolution, vals, carrier)
+    def from_callable(cls, fn: Callable, resolution: int):
+        vals = tuple(
+            as_fraction(fn(Fraction(i, resolution))) for i in range(resolution + 1)
+        )
+        return cls(resolution, vals)
 
     @classmethod
-    def constant(cls, value, resolution: int, carrier: str = EXACT):
-        if carrier == EXACT:
-            value = as_fraction(value)
-            return cls(resolution, tuple([value] * (resolution + 1)), EXACT)
-        return cls(resolution, tuple([float(value)] * (resolution + 1)), FLOAT)
+    def constant(cls, value, resolution: int):
+        return cls(resolution, tuple([as_fraction(value)] * (resolution + 1)))
 
-    def interpolate(self, x):
-        """Value at x, linear between adjacent samples (exact for rationals)."""
-        if self.carrier == EXACT:
-            x = as_fraction(x)
-            if not 0 <= x <= 1:
-                raise InputError(f"argument {x} outside [0, 1]")
-            pos = x * self.resolution
-            j = pos.numerator // pos.denominator
-            theta = pos - j
-            if j >= self.resolution:
-                return self.values[self.resolution]
-            if theta == 0:
-                return self.values[j]
-            return (1 - theta) * self.values[j] + theta * self.values[j + 1]
-        x = float(x)
+    def interpolate(self, x) -> Fraction:
+        """Value at x, linear between adjacent samples."""
+        x = as_fraction(x)
+        if not 0 <= x <= 1:
+            raise InputError(f"argument {x} outside [0, 1]")
         pos = x * self.resolution
-        j = min(int(pos), self.resolution - 1)
+        j = pos.numerator // pos.denominator
         theta = pos - j
-        return (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
+        if j >= self.resolution:
+            return self.values[self.resolution]
+        if theta == 0:
+            return self.values[j]
+        return (1 - theta) * self.values[j] + theta * self.values[j + 1]
 
     def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
         """Grid samples of self composed with the interval map m."""
-        if self.carrier == EXACT:
-            if m.is_constant:
-                return GridFunction.constant(
-                    self.interpolate(m(Fraction(0))), self.resolution, EXACT
-                )
-            vals = tuple(
-                self.interpolate(m(Fraction(i, self.resolution)))
-                for i in range(self.resolution + 1)
-            )
-            return GridFunction(self.resolution, vals, EXACT)
-        xs = np.arange(self.resolution + 1) / self.resolution
-        ys = np.array([m.call_float(float(x)) for x in xs])
-        grid = np.arange(self.resolution + 1) / self.resolution
-        vals = np.interp(ys, grid, np.array(self.values, dtype=float))
-        return GridFunction(self.resolution, tuple(float(v) for v in vals), FLOAT)
+        if m.is_constant:
+            value = self.interpolate(m(Fraction(0)))
+            return GridFunction.constant(value, self.resolution)
+        vals = tuple(
+            self.interpolate(m(Fraction(i, self.resolution)))
+            for i in range(self.resolution + 1)
+        )
+        return GridFunction(self.resolution, vals)
 
-    def sup_norm(self):
-        if self.carrier == EXACT:
-            return max(abs(v) for v in self.values)
-        return float(max(abs(v) for v in self.values))
+    def sup_norm(self) -> Fraction:
+        return max(abs(v) for v in self.values)
 
     def sub(self, other: "GridFunction") -> "GridFunction":
-        self._compatible(other)
+        if self.resolution != other.resolution:
+            raise InputError("grid functions have incompatible resolutions")
         vals = tuple(a - b for a, b in zip(self.values, other.values))
-        return GridFunction(self.resolution, vals, self.carrier)
+        return GridFunction(self.resolution, vals)
 
-    def distance(self, other: "GridFunction"):
+    def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
-
-    def _compatible(self, other: "GridFunction") -> None:
-        if self.resolution != other.resolution or self.carrier != other.carrier:
-            raise InputError("grid functions have incompatible resolution or carrier")
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +265,12 @@ def averaged_composition(
 
 
 def _weighted_average(f: GridFunction, weighted_maps) -> GridFunction:
-    total = None
+    """sum of w (f o m) over the (w, m) pairs, accumulated sample by sample."""
+    acc = [Fraction(0)] * (f.resolution + 1)
     for w, m in weighted_maps:
         piece = f.resample(m)
-        if f.carrier == EXACT:
-            vals = tuple(w * v for v in piece.values)
-        else:
-            vals = tuple(float(w) * v for v in piece.values)
-        piece = GridFunction(f.resolution, vals, f.carrier)
-        total = piece if total is None else _add(total, piece)
-    return total
-
-
-def _add(a: GridFunction, b: GridFunction) -> GridFunction:
-    return GridFunction(
-        a.resolution, tuple(x + y for x, y in zip(a.values, b.values)), a.carrier
-    )
+        acc = [a + w * v for a, v in zip(acc, piece.values)]
+    return GridFunction(f.resolution, tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +351,7 @@ class StageEntries:
     def push(self, f: GridFunction) -> GridFunction:
         """(1/l) sum over entries of f o entry: positive, unital, contractive."""
         l = self.total
-        if f.carrier == EXACT:
-            acc = [Fraction(0)] * (f.resolution + 1)
-            for m, c in self.entries:
-                piece = f.resample(m)
-                w = Fraction(c, l)
-                acc = [a + w * v for a, v in zip(acc, piece.values)]
-            return GridFunction(f.resolution, tuple(acc), EXACT)
-        acc = np.zeros(f.resolution + 1)
-        for m, c in self.entries:
-            piece = f.resample(m)
-            acc = acc + (c / l) * np.array(piece.values, dtype=float)
-        return GridFunction(f.resolution, tuple(float(v) for v in acc), FLOAT)
+        return _weighted_average(f, [(Fraction(c, l), m) for m, c in self.entries])
 
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
@@ -450,7 +387,6 @@ class IntertwiningResult:
     step_distances: tuple
     step_bounds: tuple
     holds: tuple
-    carrier: str
 
     @property
     def all_within_bounds(self) -> bool:
@@ -469,9 +405,9 @@ def simulate_intertwining(
     w_n pushes v from stage m to n under the first system and on to the
     final stage under the second; consecutive ladder elements differ
     only through the stage-n disagreement, so their grid distance is at
-    most 2 (disagreeing entries)/l(n+1) (times the norm of v).  In the
-    exact carrier a violated bound raises, since it cannot happen unless
-    the inputs break the stated preconditions.
+    most 2 (disagreeing entries)/l(n+1) (times the norm of v).  A
+    violated bound raises, since it cannot happen unless the inputs break
+    the stated preconditions.
     """
     if not 0 <= m <= horizon:
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
@@ -498,17 +434,15 @@ def simulate_intertwining(
             w = system_b[j].push(w)
         ws.append(w)
 
-    v_norm = v.sup_norm()
-    exact = v.carrier == EXACT
-    scale = max(Fraction(1), v_norm) if exact else max(1.0, v_norm)
+    scale = max(Fraction(1), v.sup_norm())
     distances = []
     bounds = []
     holds = []
     for i, delta in enumerate(deltas):
         dist = ws[i + 1].distance(ws[i])
-        bound = delta * scale if exact else float(delta) * scale + FLOAT_SLACK
+        bound = delta * scale
         ok = dist <= bound
-        if exact and not ok:
+        if not ok:
             raise ConsistencyError(
                 f"step {m + i}: distance {dist} exceeds bound {bound}"
             )
@@ -522,7 +456,6 @@ def simulate_intertwining(
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
         holds=tuple(holds),
-        carrier=v.carrier,
     )
 
 
@@ -557,123 +490,53 @@ def synthetic_system_pair(
 
 
 # ---------------------------------------------------------------------------
-# The flip on the two-dimensional order-unit space
-
-
-@dataclass(frozen=True)
-class AffinePair:
-    """Element of the two-dimensional order-unit space (order unit (1, 1))."""
-
-    a: Fraction
-    b: Fraction
-
-    def swapped(self) -> "AffinePair":
-        return AffinePair(self.b, self.a)
-
-    @property
-    def positive(self) -> bool:
-        return self.a >= 0 and self.b >= 0
-
-
-ORDER_UNIT = AffinePair(Fraction(1), Fraction(1))
+# The flip
 
 
 @dataclass(frozen=True)
 class FlipReport:
-    involution: bool
-    order_unit_fixed: bool
-    positivity_preserved: bool
-    intertwines_unit_embedding: bool
-    swap_commutes_with_stages: bool
     stages_verified: int
     stage_checks: tuple
     holds: bool
 
 
-def flip_compatibility(table: Optional[SequenceTable] = None) -> FlipReport:
-    """Verify the order-two flip at the finite-stage level.
+def flip_compatibility(table: SequenceTable) -> FlipReport:
+    """Verify that the order-two flip exchanges the two corner classes.
 
-    On pairs: the swap is an order-unit automorphism and an involution,
-    and embedding a pair as componentwise multiples of the two order
-    units intertwines swap-of-pairs with swap-of-components.  With a
-    table: the swap commutes with every stage's connecting matrix, and
-    swapping the rank vector of the distinguished corner projection
-    yields exactly the complementary corner's rank vector at each stage.
+    At every stage 0..horizon, swapping the rank vector of the
+    distinguished corner projection must give exactly the complementary
+    corner's rank vector.  The flip's other properties hold by
+    construction and are not re-checked: the swap is an involution
+    fixing the order unit (1, 1), and it commutes with every connecting
+    matrix, since ``connecting_matrix`` builds the symmetric
+    ((d, k), (k, d)).
     """
-    samples = [
-        AffinePair(Fraction(1), Fraction(0)),
-        AffinePair(Fraction(0), Fraction(1)),
-        ORDER_UNIT,
-        AffinePair(Fraction(3, 7), Fraction(22, 5)),
-        AffinePair(Fraction(-2), Fraction(9, 4)),
-    ]
-    involution = all(p.swapped().swapped() == p for p in samples)
-    unit_fixed = ORDER_UNIT.swapped() == ORDER_UNIT
-    positivity = all(p.swapped().positive for p in samples if p.positive)
-
-    # Pair (alpha, beta) embeds as (alpha e, beta f); the flip relabels
-    # the components, so flipping the embedding equals embedding the
-    # swapped pair.  Linear in (alpha, beta): the basis suffices.
-    def embed(p: AffinePair):
-        return (p.a, p.b)  # coefficients of the two component order units
-
-    def flip_embedded(img):
-        return (img[1], img[0])
-
-    intertwines = all(
-        flip_embedded(embed(p)) == embed(p.swapped()) for p in samples
-    )
-
+    cls = K0Class(0, 1, 0)
     stage_checks = []
-    commutes = True
-    stages_verified = 0
-    if table is not None:
-        from .ranks import K0Class, connecting_matrix, push_k0, q_perp_ranks
-
-        cls = K0Class(0, 1, 0)
-        for n in range(table.horizon + 1):
-            perp = q_perp_ranks(table, n)
-            stage_checks.append(
-                check(
-                    f"flip of [q_{n}] equals [complement_{n}] (x)",
-                    cls.swapped().x,
-                    "==",
-                    perp.x_rank,
-                )
+    for n in range(table.horizon + 1):
+        perp = q_perp_ranks(table, n)
+        stage_checks.append(
+            check(
+                f"flip of [q_{n}] equals [complement_{n}] (x)",
+                cls.swapped().x,
+                "==",
+                perp.x_rank,
             )
-            stage_checks.append(
-                check(
-                    f"flip of [q_{n}] equals [complement_{n}] (y)",
-                    cls.swapped().y,
-                    "==",
-                    perp.y_rank,
-                )
+        )
+        stage_checks.append(
+            check(
+                f"flip of [q_{n}] equals [complement_{n}] (y)",
+                cls.swapped().y,
+                "==",
+                perp.y_rank,
             )
-            if n < table.horizon:
-                (a, b), (c, d) = connecting_matrix(table, n)
-                # swap-conjugation of [[a,b],[c,d]] is [[d,c],[b,a]]
-                if (a, b, c, d) != (d, c, b, a):
-                    commutes = False
-                cls = push_k0(table, cls)
-        stages_verified = table.horizon + 1
-
-    holds = (
-        involution
-        and unit_fixed
-        and positivity
-        and intertwines
-        and commutes
-        and all(c.holds for c in stage_checks)
-    )
+        )
+        if n < table.horizon:
+            cls = push_k0(table, cls)
     return FlipReport(
-        involution=involution,
-        order_unit_fixed=unit_fixed,
-        positivity_preserved=positivity,
-        intertwines_unit_embedding=intertwines,
-        swap_commutes_with_stages=commutes,
-        stages_verified=stages_verified,
+        stages_verified=table.horizon + 1,
         stage_checks=tuple(stage_checks),
-        holds=holds,
+        holds=all(c.holds for c in stage_checks),
     )
 
 

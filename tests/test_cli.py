@@ -45,7 +45,7 @@ def test_certify_base_six_certified(capsys):
     assert report["separation"]["certificate"]["reverified"] is True
     assert report["flip"]["stages_verified"] == 41
     assert report["gap_series"]["summable_certified"] is True
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
 
 
 def test_certify_reports_have_no_floats(capsys):
@@ -118,7 +118,9 @@ def test_rc_lower_inconclusive_small_horizon(capsys):
         capsys, "rc-lower", "--N", "6", "--horizon", "1", "--rho", "3/2"
     )
     assert code == 2
-    assert report["status"] == "InconclusiveAtHorizon"
+    assert report["verdict"] == "InconclusiveAtHorizon"
+    assert report["reason"]
+    assert "status" not in report
 
 
 def test_rc_upper_subcommand(capsys):
@@ -155,7 +157,6 @@ def test_trace_sim_subcommand(capsys):
         "--horizon", "6",
         "--stages", "3",
         "--grid", "64",
-        "--exact",
     )
     assert code == 0
     sim = report["intertwining"]
@@ -282,3 +283,115 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["embedding_ranks"][3]["min_rank"] == 6
+
+
+def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):
+    code, report = run_json(capsys, "certify", "--N", "6", "--horizon", "120")
+    assert code == 0
+    assert report["verdict"] == "Certified"
+    assert len(report["constants"]["kappa_upper_envelope"]) > 4300
+
+
+def test_internal_failure_has_its_own_exit_code(monkeypatch, capsys):
+    from ahcert import cli
+    from ahcert.errors import ConsistencyError
+
+    def broken(k):
+        raise ConsistencyError("cross-check failed")
+
+    monkeypatch.setattr(cli.chern_mod, "min_trivial_embedding_rank", broken)
+    code, out, err = run_cli(capsys, "chern", "--k", "2")
+    assert code == 4 and out == ""
+    assert "internal consistency failure" in err
+
+
+def test_unexpected_exception_is_one_line_exit_four(monkeypatch, capsys):
+    from ahcert import cli
+
+    def broken(k):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli.chern_mod, "min_trivial_embedding_rank", broken)
+    code, out, err = run_cli(capsys, "chern", "--k", "2")
+    assert code == 4 and out == ""
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0 and "internal error: KeyError" in err
+
+
+def test_usage_errors_are_input_errors(capsys):
+    for argv in (["certify", "--bogus"], ["trace-sim", "--float"], ["nosuch"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == "" and "usage:" in err
+
+
+def test_config_carrier_must_be_exact(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 6, "horizon": 6, "carrier": "float"}))
+    code, out, err = run_cli(capsys, "trace-sim", "--config", str(cfg), "--stages", "2")
+    assert code == 3 and out == "" and "carrier" in err
+    cfg.write_text(json.dumps({"N": 6, "horizon": 6, "carrier": "exact"}))
+    code, report = run_json(
+        capsys, "trace-sim", "--config", str(cfg), "--stages", "2", "--grid", "8"
+    )
+    assert code == 0 and "carrier" not in report["config"]
+
+
+def test_zero_size_stage_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"d": [1, 6, 0], "k": [0, 1, 0]}))
+    code, out, err = run_cli(
+        capsys, "params", "--family", "explicit", "--spec", str(spec), "--horizon", "2"
+    )
+    assert code == 3 and out == "" and "l(2) = 0" in err
+
+
+def test_tail_table_checked_against_supplied_stages(tmp_path, capsys):
+    # An all-zero table claims no evaluation mass beyond any stage, which
+    # stages 1..5 contradict; it used to certify at horizon 3 and be
+    # refuted at horizon 5.
+    unsound = tmp_path / "unsound.json"
+    unsound.write_text(
+        json.dumps(
+            {
+                "d": [1, 6, 36, 216, 1, 1],
+                "k": [0, 1, 1, 1, 1, 1],
+                "tail": {"type": "table", "values": ["0"] * 6},
+            }
+        )
+    )
+    for horizon in ("3", "5"):
+        code, out, err = run_cli(
+            capsys, "certify", "--spec", str(unsound), "--horizon", horizon
+        )
+        assert code == 3 and out == "" and "tail table value" in err
+
+    sound = tmp_path / "sound.json"
+    sound.write_text(
+        json.dumps(
+            {
+                "d": [1, 6, 36, 216, 1296],
+                "k": [0, 1, 1, 1, 1],
+                "tail": {
+                    "type": "table",
+                    "values": ["1/5", "1/30", "1/180", "1/1080", "1/6480"],
+                },
+            }
+        )
+    )
+    code, report = run_json(capsys, "certify", "--spec", str(sound), "--horizon", "4")
+    assert code == 0 and report["verdict"] == "Certified"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ahcert.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -94,6 +94,25 @@ def test_explicit_family_validation():
         sequences(fam, 5)
 
 
+def test_sequences_rejects_zero_size_stage():
+    for d, k, horizon in (([1, 0, 36], [0, 0, 1], 2), ([1, 6, 0], [0, 1, 0], 2)):
+        with pytest.raises(InputError, match="no summands"):
+            sequences(make_explicit_family(d, k), horizon)
+
+
+def test_bounds_are_the_sequence_table_fields():
+    fam = make_geometric_family(6)
+    for n in range(2, 9):
+        table = sequences(fam, n)
+        assert kappa_lower_bound(fam, n) == table.kappa_lb
+        assert omega_prime_upper_bound(fam, n) == table.omega_prime_ub
+    no_tail = make_explicit_family([1, 6, 36], [0, 1, 1])
+    with pytest.raises(InputError):
+        kappa_lower_bound(no_tail, 2)
+    with pytest.raises(InputError):
+        omega_prime_upper_bound(no_tail, 2)
+
+
 def test_kappa_lower_bound_frozen_value():
     fam = make_geometric_family(6)
     expected = Fraction(46656, 56203) * Fraction(1079, 1080)
