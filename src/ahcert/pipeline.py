@@ -216,6 +216,8 @@ def resolve_config(config: Optional[dict]) -> dict:
         merged["grid"] = int(merged["grid"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed integer in configuration: {exc}") from exc
+    if merged["grid"] < 1:
+        raise InputError(f"grid must be >= 1, got {merged['grid']}")
     if merged["rho"] is not None:
         merged["rho"] = format_rational(as_fraction(merged["rho"]))
     return merged
@@ -228,21 +230,39 @@ def build_family(config: dict) -> ParamFamily:
     k = config.get("k")
     if d is None or k is None:
         raise InputError("explicit family needs 'd' and 'k' lists")
-    d = [int(x) for x in d]
-    k = [int(x) for x in k]
+    d = _integer_list("d", d)
+    k = _integer_list("k", k)
     # Validate d and k before a majorant divides by l(j).
     family = make_explicit_family(d, k)
     tail_spec = config.get("tail") or {"type": "none"}
+    if not isinstance(tail_spec, dict):
+        raise InputError(f"'tail' must be a JSON object, got {tail_spec!r}")
     tail_type = tail_spec.get("type", "none")
     if tail_type == "none":
         return family
     if tail_type == "geometric":
-        majorant = geometric_ratio_majorant(d, k, int(tail_spec["N"]))
+        N = tail_spec.get("N")
+        if isinstance(N, bool) or not isinstance(N, int):
+            raise InputError(f"geometric tail needs an integer 'N', got {N!r}")
+        majorant = geometric_ratio_majorant(d, k, N)
     elif tail_type == "table":
-        majorant = table_majorant(d, k, tail_spec["values"])
+        values = tail_spec.get("values")
+        if not isinstance(values, list):
+            raise InputError(f"table tail needs a list 'values', got {values!r}")
+        majorant = table_majorant(d, k, values)
     else:
         raise InputError(f"unknown tail majorant type {tail_type!r}")
     return replace(family, tail_majorant=majorant)
+
+
+def _integer_list(name: str, values) -> list:
+    """A list of integers; JSON booleans are refused, not read as 0 and 1."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"'{name}' must be a list of integers, got {values!r}")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InputError(f"'{name}' must hold integers, got {x!r}")
+    return list(values)
 
 
 def config_echo(config: dict) -> dict:

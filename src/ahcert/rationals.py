@@ -40,8 +40,8 @@ def parse_rational(text: str) -> Fraction:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return Fraction(_integer(num), _integer(den))
+        return Fraction(_integer(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {text!r}: {exc}") from exc
 
@@ -74,3 +74,32 @@ def _decimal(n: int) -> str:
     low_digits = n.bit_length() * 3 // 20  # about half of the digit count
     high, low = divmod(n, 10 ** low_digits)
     return _decimal(high) + _decimal(low).zfill(low_digits)
+
+
+#: Numerals up to this many digits go through int() directly: that stays
+#: below every value sys.set_int_max_str_digits accepts.
+_INT_DIGITS = 600
+
+
+def _integer(text: str) -> int:
+    """int(text), also beyond the interpreter's str-to-int digit limit.
+
+    The inverse of _decimal: a long run of ASCII digits is split in two,
+    each half read on its own and the two combined by a power of ten, so
+    no interpreter setting changes.
+    """
+    s = text.strip()
+    digits = s.lstrip("+-")
+    if len(digits) <= _INT_DIGITS or len(s) - len(digits) > 1:
+        return int(s)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    sign = -1 if s[0] == "-" else 1
+    return sign * _digits(digits)
+
+
+def _digits(digits: str) -> int:
+    if len(digits) <= _INT_DIGITS:
+        return int(digits)
+    cut = len(digits) // 2
+    return _digits(digits[:cut]) * 10 ** (len(digits) - cut) + _digits(digits[cut:])

@@ -1,12 +1,16 @@
 """Desk-scale simulation of the trace-space machinery on [0, 1].
 
 Functions live on a uniform grid over [0, 1] and their samples are exact
-rationals; pushing a function through one stage of a diagonal system
-averages its compositions with the stage's entry maps (piecewise-linear
-self-maps of the interval, or point evaluations).  The quantities being
-checked (per-step gaps, rounding errors, series totals) are exact
-rationals, all sup norms are grid sup norms, and every comparison against
-a stage-gap bound is a theorem about the grid functions.
+rationals, stored as knots: the samples at a few grid indices, with every
+other sample on the segment between its neighbouring knots.  Pushing a
+function through one stage of a diagonal system averages its compositions
+with the stage's entry maps (piecewise-linear self-maps of the interval,
+or point evaluations); each composition is sampled only where it can
+bend, so the cost follows the number of knots, not the grid size.  The
+quantities being checked (per-step gaps, rounding errors, series totals)
+are exact rationals, all sup norms are grid sup norms, and every
+comparison against a stage-gap bound is a theorem about the grid
+functions.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
@@ -47,11 +52,6 @@ class PiecewiseLinearMap:
             raise InputError("breakpoint abscissae must be strictly increasing")
         if any(not 0 <= y <= 1 for y in ys):
             raise InputError("map leaves [0, 1]")
-
-    @property
-    def is_constant(self) -> bool:
-        ys = {y for _, y in self.breakpoints}
-        return len(ys) == 1
 
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
@@ -105,66 +105,138 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Exact samples of a function on the uniform grid {i/G : 0 <= i <= G}."""
+    """An exact function on the uniform grid {i/G : 0 <= i <= G}, as knots.
+
+    ``knots`` is ((i, value), ...) with integer indices running strictly
+    upward from 0 to G = ``resolution``; the sample at any index not
+    listed lies on the segment between its neighbouring knots.  Knots
+    collinear with their neighbours are dropped on construction, so the
+    knot list is the shortest one for the samples and equal functions
+    compare equal.  Every operation costs time in the number of knots,
+    not in G; ``values`` expands the G + 1 samples.
+    """
 
     resolution: int
-    values: tuple
+    knots: tuple
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise InputError(f"resolution must be >= 1, got {self.resolution}")
-        if len(self.values) != self.resolution + 1:
+        if not isinstance(self.resolution, int) or self.resolution < 1:
             raise InputError(
-                f"need {self.resolution + 1} samples, got {len(self.values)}"
+                f"resolution must be an integer >= 1, got {self.resolution}"
             )
+        knots = tuple((i, as_fraction(v)) for i, v in self.knots)
+        idx = [i for i, _ in knots]
+        if not idx or idx[0] != 0 or idx[-1] != self.resolution:
+            raise InputError(f"knots must run from index 0 to {self.resolution}")
+        if any(not isinstance(i, int) for i in idx) or any(
+            b <= a for a, b in zip(idx, idx[1:])
+        ):
+            raise InputError("knot indices must be strictly increasing integers")
+        object.__setattr__(self, "knots", _compress(knots))
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int):
-        vals = tuple(
-            as_fraction(fn(Fraction(i, resolution))) for i in range(resolution + 1)
+        return cls(
+            resolution,
+            tuple((i, fn(Fraction(i, resolution))) for i in range(resolution + 1)),
         )
-        return cls(resolution, vals)
 
     @classmethod
     def constant(cls, value, resolution: int):
-        return cls(resolution, tuple([as_fraction(value)] * (resolution + 1)))
+        return cls(resolution, ((0, value), (resolution, value)))
+
+    @property
+    def values(self) -> tuple:
+        """All G + 1 samples, expanded from the knots."""
+        return tuple(self._sample(i) for i in range(self.resolution + 1))
+
+    def _sample(self, pos) -> Fraction:
+        """Value at grid position pos in [0, G], linear between knots."""
+        knots = self.knots
+        j = bisect.bisect_left(knots, pos, key=itemgetter(0))
+        i1, v1 = knots[j]
+        if i1 == pos:
+            return v1
+        i0, v0 = knots[j - 1]
+        return v0 + (v1 - v0) * (pos - i0) / (i1 - i0)
 
     def interpolate(self, x) -> Fraction:
         """Value at x, linear between adjacent samples."""
         x = as_fraction(x)
         if not 0 <= x <= 1:
             raise InputError(f"argument {x} outside [0, 1]")
-        pos = x * self.resolution
-        j = pos.numerator // pos.denominator
-        theta = pos - j
-        if j >= self.resolution:
-            return self.values[self.resolution]
-        if theta == 0:
-            return self.values[j]
-        return (1 - theta) * self.values[j] + theta * self.values[j + 1]
+        return self._sample(x * self.resolution)
 
     def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
-        """Grid samples of self composed with the interval map m."""
-        if m.is_constant:
-            value = self.interpolate(m(Fraction(0)))
-            return GridFunction.constant(value, self.resolution)
-        vals = tuple(
-            self.interpolate(m(Fraction(i, self.resolution)))
-            for i in range(self.resolution + 1)
+        """Grid samples of self composed with the interval map m.
+
+        f o m is affine between consecutive breakpoints of m and the
+        preimages of f's knot positions under each non-constant piece of
+        m.  Sampling at 0, G and the grid points on either side of each
+        such point therefore leaves every other sample collinear with its
+        neighbours.
+        """
+        G = self.resolution
+        positions = [Fraction(i, G) for i, _ in self.knots]
+        cuts = set()
+        for (x0, y0), (x1, y1) in zip(m.breakpoints, m.breakpoints[1:]):
+            cuts.add(x0)
+            if y0 == y1:
+                continue
+            lo, hi = min(y0, y1), max(y0, y1)
+            start = bisect.bisect_right(positions, lo)
+            stop = bisect.bisect_left(positions, hi)
+            for p in positions[start:stop]:
+                cuts.add(x0 + (p - y0) * (x1 - x0) / (y1 - y0))
+        candidates = {0, G}
+        for x in cuts:
+            pos = x * G
+            floor = pos.numerator // pos.denominator
+            candidates.add(floor)
+            if pos != floor:
+                candidates.add(floor + 1)
+        return GridFunction(
+            G, tuple((i, self.interpolate(m(Fraction(i, G)))) for i in sorted(candidates))
         )
-        return GridFunction(self.resolution, vals)
 
     def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+        """The grid sup: every other sample lies between two knot values."""
+        return max(abs(v) for _, v in self.knots)
 
     def sub(self, other: "GridFunction") -> "GridFunction":
-        if self.resolution != other.resolution:
-            raise InputError("grid functions have incompatible resolutions")
-        vals = tuple(a - b for a, b in zip(self.values, other.values))
-        return GridFunction(self.resolution, vals)
+        return _linear_combination([(1, self), (-1, other)])
 
     def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
+
+
+def _compress(knots: tuple) -> tuple:
+    """Drop every knot collinear with its neighbours (exact cross-multiplication).
+
+    A dropped knot lies on the line from its left neighbour to the
+    incoming knot, so the knots kept before it stay non-collinear with
+    that line: one look back per knot suffices.
+    """
+    out = []
+    for i2, v2 in knots:
+        if len(out) >= 2:
+            (i0, v0), (i1, v1) = out[-2], out[-1]
+            if (v1 - v0) * (i2 - i1) == (v2 - v1) * (i1 - i0):
+                out.pop()
+        out.append((i2, v2))
+    return tuple(out)
+
+
+def _linear_combination(terms) -> GridFunction:
+    """sum of w g over the (w, g) pairs, evaluated on the union of their knots."""
+    resolution = terms[0][1].resolution
+    if any(g.resolution != resolution for _, g in terms):
+        raise InputError("grid functions have incompatible resolutions")
+    indices = sorted({i for _, g in terms for i, _ in g.knots})
+    acc = [Fraction(0)] * len(indices)
+    for w, g in terms:
+        acc = [a + w * g._sample(i) for a, i in zip(acc, indices)]
+    return GridFunction(resolution, tuple(zip(indices, acc)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +337,8 @@ def averaged_composition(
 
 
 def _weighted_average(f: GridFunction, weighted_maps) -> GridFunction:
-    """sum of w (f o m) over the (w, m) pairs, accumulated sample by sample."""
-    acc = [Fraction(0)] * (f.resolution + 1)
-    for w, m in weighted_maps:
-        piece = f.resample(m)
-        acc = [a + w * v for a, v in zip(acc, piece.values)]
-    return GridFunction(f.resolution, tuple(acc))
+    """sum of w (f o m) over the (w, m) pairs."""
+    return _linear_combination([(w, f.resample(m)) for w, m in weighted_maps])
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +454,6 @@ class IntertwiningResult:
     functions: tuple        # w_n for n = start..horizon, all at stage `horizon`
     step_distances: tuple
     step_bounds: tuple
-    holds: tuple
-
-    @property
-    def all_within_bounds(self) -> bool:
-        return all(self.holds)
 
 
 def simulate_intertwining(
@@ -406,8 +469,9 @@ def simulate_intertwining(
     final stage under the second; consecutive ladder elements differ
     only through the stage-n disagreement, so their grid distance is at
     most 2 (disagreeing entries)/l(n+1) (times the norm of v).  A
-    violated bound raises, since it cannot happen unless the inputs break
-    the stated preconditions.
+    violated bound raises ConsistencyError, since it cannot happen unless
+    the inputs break the stated preconditions; a returned result
+    therefore has every step within its bound.
     """
     if not 0 <= m <= horizon:
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
@@ -437,25 +501,21 @@ def simulate_intertwining(
     scale = max(Fraction(1), v.sup_norm())
     distances = []
     bounds = []
-    holds = []
     for i, delta in enumerate(deltas):
         dist = ws[i + 1].distance(ws[i])
         bound = delta * scale
-        ok = dist <= bound
-        if not ok:
+        if dist > bound:
             raise ConsistencyError(
                 f"step {m + i}: distance {dist} exceeds bound {bound}"
             )
         distances.append(dist)
         bounds.append(bound)
-        holds.append(ok)
     return IntertwiningResult(
         start_stage=m,
         horizon=horizon,
         functions=tuple(ws),
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
-        holds=tuple(holds),
     )
 
 

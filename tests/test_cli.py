@@ -2,8 +2,10 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 from ahcert.cli import main
+from ahcert.rationals import as_fraction, format_rational
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +291,9 @@ def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):
     code, report = run_json(capsys, "certify", "--N", "6", "--horizon", "120")
     assert code == 0
     assert report["verdict"] == "Certified"
-    assert len(report["constants"]["kappa_upper_envelope"]) > 4300
+    envelope = report["constants"]["kappa_upper_envelope"]
+    assert len(envelope) > 4300
+    assert format_rational(as_fraction(envelope)) == envelope
 
 
 def test_internal_failure_has_its_own_exit_code(monkeypatch, capsys):
@@ -395,3 +399,52 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _params_on_spec(tmp_path, capsys, spec, horizon="2"):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(spec))
+    return run_cli(capsys, "params", "--spec", str(path), "--horizon", horizon)
+
+
+def test_table_tail_without_values_is_input_error(tmp_path, capsys):
+    spec = {"d": [1, 6, 36], "k": [0, 1, 1], "tail": {"type": "table"}}
+    code, out, err = _params_on_spec(tmp_path, capsys, spec)
+    assert code == 3 and out == "" and "'values'" in err
+
+
+def test_non_object_tail_is_input_error(tmp_path, capsys):
+    spec = {"d": [1, 6, 36], "k": [0, 1, 1], "tail": [1]}
+    code, out, err = _params_on_spec(tmp_path, capsys, spec)
+    assert code == 3 and out == "" and "'tail' must be a JSON object" in err
+
+
+def test_geometric_tail_needs_an_integer_base(tmp_path, capsys):
+    for tail in ({"type": "geometric"}, {"type": "geometric", "N": "6"},
+                 {"type": "geometric", "N": 6.5}, {"type": "geometric", "N": True}):
+        spec = {"d": [1, 6, 36], "k": [0, 1, 1], "tail": tail}
+        code, out, err = _params_on_spec(tmp_path, capsys, spec)
+        assert code == 3 and out == "" and "integer 'N'" in err, tail
+
+
+def test_booleans_in_d_and_k_are_input_errors(tmp_path, capsys):
+    for spec in ({"d": [1, True, 36], "k": [0, 1, 1]},
+                 {"d": [1, 6, 36], "k": [False, 1, 1]}):
+        code, out, err = _params_on_spec(tmp_path, capsys, spec)
+        assert code == 3 and out == "" and "must hold integers" in err, spec
+
+
+def test_grid_below_one_is_input_error(capsys):
+    for grid in ("0", "-3"):
+        code, out, err = run_cli(capsys, "trace-sim", "--stages", "2", "--grid", grid)
+        assert code == 3 and out == "" and "grid must be >= 1" in err, grid
+
+
+def test_trace_sim_step_distances_do_not_depend_on_the_grid(capsys):
+    _, coarse = run_json(capsys, "trace-sim", "--stages", "6", "--grid", "64")
+    t0 = time.perf_counter()
+    code, fine = run_json(capsys, "trace-sim", "--stages", "6", "--grid", "1048576")
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and fine["verdict"] == "Certified"
+    assert fine["intertwining"] == coarse["intertwining"]
+    assert elapsed < 1.0

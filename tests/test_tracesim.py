@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahcert.errors import InputError
 from ahcert.params import make_explicit_family, make_geometric_family, sequences
 from ahcert.ranks import q_perp_ranks
 from ahcert.tracesim import (
     GridFunction,
+    PiecewiseLinearMap,
     StageEntries,
     averaged_composition,
     constant_map,
@@ -65,6 +68,93 @@ def test_grid_function_resample_identity_and_constant():
     assert f.resample(identity_map()).values == f.values
     g = f.resample(constant_map(Fraction(3, 8)))
     assert set(g.values) == {Fraction(3, 8)}
+
+
+# -- the knot form against dense samples -------------------------------------
+
+
+def dense_interpolate(samples, x):
+    G = len(samples) - 1
+    pos = x * G
+    j = pos.numerator // pos.denominator
+    if j >= G:
+        return samples[G]
+    theta = pos - j
+    return (1 - theta) * samples[j] + theta * samples[j + 1]
+
+
+def dense_resample(samples, m):
+    G = len(samples) - 1
+    return [dense_interpolate(samples, m(Fraction(i, G))) for i in range(G + 1)]
+
+
+unit_fractions = st.sampled_from(
+    sorted({Fraction(n, d) for d in range(1, 10) for n in range(d + 1)})
+)
+sample_values = st.builds(Fraction, st.integers(-21, 21), st.integers(1, 7))
+
+
+def sample_vectors(resolution):
+    return st.lists(sample_values, min_size=resolution + 1, max_size=resolution + 1)
+
+
+@st.composite
+def interval_maps(draw):
+    inner = draw(st.lists(unit_fractions.filter(lambda x: 0 < x < 1), max_size=4))
+    xs = [Fraction(0)] + sorted(set(inner)) + [Fraction(1)]
+    # few distinct heights, so constant and decreasing pieces are common
+    heights = draw(st.lists(unit_fractions, min_size=1, max_size=3))
+    ys = [draw(st.sampled_from(heights)) for _ in xs]
+    return PiecewiseLinearMap(tuple(zip(xs, ys)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_knot_form_matches_dense_samples(data):
+    G = data.draw(st.integers(1, 64), label="G")
+    samples = data.draw(sample_vectors(G), label="f")
+    other = data.draw(sample_vectors(G), label="g")
+    m1 = data.draw(interval_maps(), label="m1")
+    m2 = data.draw(interval_maps(), label="m2")
+    c1, c2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    x = data.draw(unit_fractions, label="x")
+
+    f = GridFunction(G, tuple(enumerate(samples)))
+    g = GridFunction(G, tuple(enumerate(other)))
+    assert f.values == tuple(samples)
+    assert len(f.knots) <= G + 1
+    assert f.resample(m1).values == tuple(dense_resample(samples, m1))
+    pushed = [
+        Fraction(c1, c1 + c2) * a + Fraction(c2, c1 + c2) * b
+        for a, b in zip(dense_resample(samples, m1), dense_resample(samples, m2))
+    ]
+    assert StageEntries(((m1, c1), (m2, c2))).push(f).values == tuple(pushed)
+    assert f.distance(g) == max(abs(a - b) for a, b in zip(samples, other))
+    assert f.sup_norm() == max(abs(a) for a in samples)
+    assert f.interpolate(x) == dense_interpolate(samples, x)
+
+
+def test_synthetic_ladder_functions_have_two_knots():
+    sim_table = sequences(make_geometric_family(6), 8)
+    sys_a, sys_b = synthetic_system_pair(sim_table, 8)
+    v = GridFunction(4096, ((0, 0), (4096, 1)))
+    res = simulate_intertwining(sys_a, sys_b, v, 0, 8)
+    assert [len(w.knots) for w in res.functions] == [2] * 9
+
+
+def test_grid_function_refuses_malformed_knots():
+    for knots in (
+        ((0, 0),),
+        ((1, 0), (8, 1)),
+        ((0, 0), (7, 1)),
+        ((0, 0), (4, 1), (4, 2), (8, 0)),
+    ):
+        with pytest.raises(InputError):
+            GridFunction(8, knots)
+    with pytest.raises(InputError):
+        GridFunction(8, ((0, 0.5), (8, 1)))
+    with pytest.raises(InputError):
+        GridFunction(0, ((0, 0),))
 
 
 # -- convex-weight rounding ---------------------------------------------------
@@ -212,7 +302,6 @@ def test_intertwining_steps_obey_stage_gaps(table):
     sys_a, sys_b = synthetic_system_pair(table, 5)
     v = GridFunction.from_callable(lambda x: x, 256)
     res = simulate_intertwining(sys_a, sys_b, v, 0, 5)
-    assert res.all_within_bounds
     for i, (dist, bound) in enumerate(zip(res.step_distances, res.step_bounds)):
         assert bound == induced_gap(table, i)
         assert dist <= bound
