@@ -17,12 +17,14 @@ from ahcert import (
 
 table = sequences(make_geometric_family(6), 40)
 
-print("Upper side (distinguished corner): stagewise dimension-to-rank ratios")
+print("Upper side (distinguished corner): one check covers every stage past the horizon")
 upper = rc_upper(table)
-for n, ratio in upper.per_stage[:5]:
-    print(f"  stage {n}: max ratio = {ratio} (~ {float(ratio):.4f})")
+(c,) = upper.checks
+print(f"  {c.name}:")
+print(f"    ~{float(c.lhs):.6f} {c.rel} {c.rhs} -> {c.holds} "
+      f"(left side exact, {c.lhs.denominator.bit_length()}-bit denominator)")
 print(f"certified limit bound: rc <= {upper.certified_limit_bound} "
-      f"(halved limiting ratio, using t/r < 2 omega at every stage)")
+      f"(halved limiting dimension-to-rank ratio)")
 
 print()
 rho = Fraction(3, 2)

@@ -23,6 +23,7 @@ from .pipeline import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_REFUTED,
+    HORIZON_LIMITED_REASON,
     SCHEMA_VERSION,
     build_family,
     certify_theorem,
@@ -207,13 +208,17 @@ def cmd_rc_upper(args) -> int:
     cfg = load_config(args)
     family = build_family(cfg)
     table = sequences(family, cfg["horizon"])
-    result = rcbounds.rc_upper(table)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_echo(cfg),
-        "rc_upper": jsonable_rc_upper(result),
-        "verdict": "Certified",
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "config": config_echo(cfg)}
+    try:
+        result = rcbounds.rc_upper(table)
+    except InconclusiveAtHorizon as exc:
+        payload.update(verdict="InconclusiveAtHorizon", reason=str(exc))
+        return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
+    payload["rc_upper"] = jsonable_rc_upper(result)
+    if table.horizon_limited:
+        payload.update(verdict="InconclusiveAtHorizon", reason=HORIZON_LIMITED_REASON)
+        return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
+    payload["verdict"] = "Certified"
     return emit(payload, cfg.get("out"), EXIT_CERTIFIED)
 
 

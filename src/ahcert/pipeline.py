@@ -27,7 +27,7 @@ from .params import (
 from .rationals import as_fraction, format_rational
 from .tracesim import flip_compatibility, gap_series
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
@@ -38,6 +38,11 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
+
+HORIZON_LIMITED_REASON = (
+    "family has no tail majorant: bounds are horizon-limited, so "
+    "nothing is certified beyond the tabulated stages"
+)
 
 _VERDICT_EXIT = {
     VERDICT_CERTIFIED: EXIT_CERTIFIED,
@@ -114,8 +119,6 @@ def jsonable_table(table: SequenceTable, include_sequences: bool = False) -> dic
 def jsonable_rc_lower(cert: rcbounds.RcLowerCertificate) -> dict:
     return {
         "rho": q(cert.rho),
-        "alpha": cert.alpha,
-        "beta": cert.beta,
         "delta": q(cert.delta),
         "epsilon": q(cert.epsilon),
         "n0": cert.n0,
@@ -131,21 +134,9 @@ def jsonable_rc_lower(cert: rcbounds.RcLowerCertificate) -> dict:
     }
 
 
-def jsonable_global_lower(cert: rcbounds.GlobalLowerCertificate) -> dict:
-    return {
-        "rho": q(cert.rho),
-        "n": cert.n,
-        "M": q(cert.M),
-        "kappa_lower_bound": q(cert.kappa_lb),
-        "reverified": cert.reverify(),
-        "checks": jsonable_checks(cert.checks),
-    }
-
-
 def jsonable_rc_upper(result: rcbounds.RcUpperResult) -> dict:
     return {
         "certified_limit_bound": q(result.certified_limit_bound),
-        "per_stage": [{"stage": n, "ratio": q(u)} for n, u in result.per_stage],
         "reverified": result.reverify(),
         "checks": jsonable_checks(result.checks),
     }
@@ -210,12 +201,9 @@ def resolve_config(config: Optional[dict]) -> dict:
         raise InputError(f"config 'carrier' must be 'exact', got {representation!r}")
     if merged["family"] not in ("geometric", "explicit"):
         raise InputError(f"unknown family kind {merged['family']!r}")
-    try:
-        merged["horizon"] = int(merged["horizon"])
-        merged["N"] = int(merged["N"])
-        merged["grid"] = int(merged["grid"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed integer in configuration: {exc}") from exc
+    for key in ("horizon", "N", "grid"):
+        if not _is_integer(merged[key]):
+            raise InputError(f"config '{key}' must be an integer, got {merged[key]!r}")
     if merged["grid"] < 1:
         raise InputError(f"grid must be >= 1, got {merged['grid']}")
     if merged["rho"] is not None:
@@ -242,7 +230,7 @@ def build_family(config: dict) -> ParamFamily:
         return family
     if tail_type == "geometric":
         N = tail_spec.get("N")
-        if isinstance(N, bool) or not isinstance(N, int):
+        if not _is_integer(N):
             raise InputError(f"geometric tail needs an integer 'N', got {N!r}")
         majorant = geometric_ratio_majorant(d, k, N)
     elif tail_type == "table":
@@ -255,12 +243,17 @@ def build_family(config: dict) -> ParamFamily:
     return replace(family, tail_majorant=majorant)
 
 
+def _is_integer(x) -> bool:
+    """A JSON integer; booleans are not read as 0 and 1, floats not truncated."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _integer_list(name: str, values) -> list:
-    """A list of integers; JSON booleans are refused, not read as 0 and 1."""
+    """A list of JSON integers."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"'{name}' must be a list of integers, got {values!r}")
     for x in values:
-        if isinstance(x, bool) or not isinstance(x, int):
+        if not _is_integer(x):
             raise InputError(f"'{name}' must hold integers, got {x!r}")
     return list(values)
 
@@ -307,7 +300,7 @@ class TheoremReport:
             "family constraints evaluated exactly, with certified one-sided "
             "bounds standing in for the limit constants",
             "distinguished corner bounded above by 1/(1 - 2 omega) through "
-            "the stagewise dimension-to-rank ratios",
+            "the limiting dimension-to-rank ratio",
             "complementary corner bounded below by rho through the "
             "rank-threshold and trace-gap certificate",
             "swap commutes with every connecting matrix and exchanges the "
@@ -374,6 +367,8 @@ def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
         notes.append(f"constraints undecided at this horizon: {', '.join(undecided)}")
     else:
         rho = as_fraction(cfg["rho"]) if cfg["rho"] is not None else None
+        # Cannot raise here: tau_H <= omega + omega'_partial, so the passed
+        # omega_window constraint gives t(H)/r(H) + tail(H) < 2 omega.
         rc_up = rcbounds.rc_upper(table)
         try:
             sep = rcbounds.separation(table, rho=rho)
@@ -397,10 +392,7 @@ def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
     if table.horizon_limited and verdict != VERDICT_REFUTED:
         if verdict == VERDICT_CERTIFIED:
             verdict = VERDICT_INCONCLUSIVE
-        notes.append(
-            "family has no tail majorant: bounds are horizon-limited, so "
-            "nothing is certified beyond the tabulated stages"
-        )
+        notes.append(HORIZON_LIMITED_REASON)
 
     return TheoremReport(
         verdict=verdict,

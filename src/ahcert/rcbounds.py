@@ -17,6 +17,20 @@ is (2 kappa_lb - 1)/(2 omega): slightly below the ideal target but
 fully certified.  Every certificate records each inequality with both
 sides as exact rationals, so it can be re-verified independently of the
 code that produced it.
+
+No certificate checks the stages one by one.  Each records the single
+inequality that implies every stage, including those beyond the
+horizon, so its size does not grow with the horizon:
+
+  * upper side: with tau_n = t(n)/r(n) and lambda_n = k(n)/l(n), the
+    recursion for t gives tau_(n+1) = tau_n + lambda_(n+1) (1 - 2 tau_n)
+    <= tau_n + lambda_(n+1), so t(H)/r(H) + tail(H) < 2 omega gives
+    t(n)/r(n) < 2 omega at every n >= H;
+
+  * lower side: s(m)/r(m) >= kappa_lb at every stage m >= 1 (every
+    tabulated one when the family has no tail majorant), so a rank bound
+    B r(m)/r(n) with B/r(n) < 2 kappa_lb stays below the embedding
+    threshold 2 s(m) at every later stage m.
 """
 
 from __future__ import annotations
@@ -58,8 +72,6 @@ class RcLowerCertificate:
     """
 
     rho: Fraction
-    alpha: int
-    beta: int
     delta: Fraction
     epsilon: Fraction
     n0: int
@@ -92,9 +104,8 @@ class GlobalLowerCertificate:
 
 @dataclass(frozen=True)
 class RcUpperResult:
-    """Per-stage dimension ratios and the certified limit bound 1/(1-2 omega)."""
+    """The certified limit bound 1/(1 - 2 omega) and the one check behind it."""
 
-    per_stage: tuple  # (stage, ratio) pairs; the max stage ratio u(n)
     certified_limit_bound: Fraction
     checks: tuple
 
@@ -172,7 +183,7 @@ def certify_rc_lower(
             f"rho must lie strictly between 1 and {target} (certified), got {rho}"
         )
 
-    alpha, beta = rho.numerator, rho.denominator
+    beta = rho.denominator
     delta = _find_delta(rho, kappa_lb, omega)
     epsilon = delta / (2 * rho * (1 - delta))
 
@@ -256,23 +267,20 @@ def certify_rc_lower(
         )
         checks.append(check(f"mixture {lam} gap > rho", value / denom, ">", rho))
 
-    # Rank side: pushing the test projection keeps its rank below the
-    # embedding threshold at every later stage.
+    # Rank side: pushed to stage m > n, the test projection has rank at
+    # most growth * N1 r(m)/r(n), and s(m)/r(m) >= kappa_lb keeps that
+    # below the embedding threshold 2 s(m) at every such m.
     growth = (2 - delta) / (2 * (1 - delta))
     checks.append(check("(2-delta)/(2(1-delta)) <= 1/(1-delta)", growth, "<=",
                         1 / (1 - delta)))
-    checks.append(check("growth * N1/r(n) < 2 kappa_lb", growth * Fraction(N1, rn),
-                        "<", 2 * kappa_lb))
-    for m in range(n + 1, horizon + 1):
-        pushed_ub = Fraction(table.r[m], rn) * growth * N1
-        checks.append(
-            check(f"pushed rank bound < 2 s({m})", pushed_ub, "<", 2 * table.s[m])
-        )
+    checks.append(check(
+        "growth * N1/r(n) < 2 kappa_lb, so growth * N1 r(m)/r(n) < 2 s(m) "
+        "for every m > n",
+        growth * Fraction(N1, rn), "<", 2 * kappa_lb,
+    ))
 
     cert = RcLowerCertificate(
         rho=rho,
-        alpha=alpha,
-        beta=beta,
         delta=delta,
         epsilon=epsilon,
         n0=n0,
@@ -299,7 +307,8 @@ def certify_rc_global_lower(
     Simpler than the corner version: a trivial projection of rank M with
     rho + 1 < M/r(n) < 2 kappa_lb beats the distinguished element's
     trace by more than rho while staying under the embedding threshold
-    at every later stage.
+    at every later stage: M/r(n) < 2 kappa_lb <= 2 s(m)/r(m) gives
+    M r(m)/r(n) < 2 s(m) for every m >= n.
     """
     rho = as_fraction(rho)
     if rho < 0:
@@ -327,17 +336,11 @@ def certify_rc_global_lower(
     checks = [
         check(f"1/r({n}) < 2 kappa_lb - 1 - rho", Fraction(1, rn), "<", gap),
         check("rho + 1 < M/r(n)", rho + 1, "<", Fraction(M, rn)),
-        check("M/r(n) < 2 kappa_lb", Fraction(M, rn), "<", 2 * kappa_lb),
+        check(
+            "M/r(n) < 2 kappa_lb, so M r(m)/r(n) < 2 s(m) for every m >= n",
+            Fraction(M, rn), "<", 2 * kappa_lb,
+        ),
     ]
-    for m in range(n, horizon + 1):
-        checks.append(
-            check(
-                f"pushed rank M r({m})/r({n}) < 2 s({m})",
-                Fraction(M * table.r[m], rn),
-                "<",
-                2 * table.s[m],
-            )
-        )
     cert = GlobalLowerCertificate(
         rho=rho, n=n, M=M, kappa_lb=kappa_lb, checks=tuple(checks)
     )
@@ -350,47 +353,44 @@ def certify_rc_global_lower(
 def rc_upper(table: SequenceTable) -> RcUpperResult:
     """Certified upper bound 1/(1 - 2 omega) for the q corner.
 
-    Per stage, the dimension-to-rank ratios are (2 s(n) + 1)/(r(n) - t(n))
-    on the product-of-spheres side and 1/t(n) on the interval side (the
-    latter skipped at stage 0, where the corner unit misses the interval
-    component entirely).  The certified limit uses t(n)/r(n) < 2 omega
-    exactly at every stage: each sphere-side ratio is at most
+    The bound halves the limit of the sphere-side dimension-to-rank ratio
+    (2 s(n) + 1)/(r(n) - t(n)), so only large n enter it, and one check
+    at the horizon H covers them all.  With tau_n = t(n)/r(n) and
+    lambda_n = k(n)/l(n),
+
+        tau_(n+1) = tau_n + lambda_(n+1) (1 - 2 tau_n) <= tau_n + lambda_(n+1),
+
+    so t(H)/r(H) + tail(H) < 2 omega, with tail(H) >= sum_{j>H} lambda_j
+    from the family's majorant, gives t(n)/r(n) < 2 omega at every
+    n >= H.  Then s(n) <= r(n) gives (2 s(n) + 1)/(r(n) - t(n)) <=
     (2 + 1/r(n))/(1 - 2 omega), whose limit is 2/(1 - 2 omega); halving
-    gives the bound.
+    gives the bound.  A family without a tail majorant is checked with
+    tail(H) = 0, which covers stage H only: its table is horizon-limited.
+
+    Raises InconclusiveAtHorizon when the check fails.
     """
     omega = table.omega
     if not 0 < omega < Fraction(1, 2):
         raise InputError(f"omega = {omega} outside (0, 1/2)")
-    bound = 1 / (1 - 2 * omega)
-    per_stage = []
-    checks = []
-    # stage 0 has t(0) = 0 (the corner misses the interval component
-    # entirely), so only the sphere-side ratio is listed there
-    for n in range(table.horizon + 1):
-        rn, sn, tn = table.r[n], table.s[n], table.t[n]
-        x_ratio = Fraction(2 * sn + 1, rn - tn)
-        ratios = [x_ratio]
-        if tn > 0:
-            ratios.append(Fraction(1, tn))
-        u = max(ratios)
-        per_stage.append((n, u))
-        checks.append(check(f"t({n})/r({n}) < 2 omega", Fraction(tn, rn), "<", 2 * omega))
-        checks.append(
-            check(
-                f"x-ratio({n}) <= (2 + 1/r({n}))/(1 - 2 omega)",
-                x_ratio,
-                "<=",
-                (2 + Fraction(1, rn)) / (1 - 2 * omega),
-            )
-        )
-    result = RcUpperResult(
-        per_stage=tuple(per_stage),
-        certified_limit_bound=bound,
-        checks=tuple(checks),
+    H = table.horizon
+    if table.horizon_limited:
+        tail, covered = Fraction(0), f"n = {H}"
+    else:
+        tail, covered = table.family.tail(H), f"every n >= {H}"
+    at_horizon = check(
+        f"t({H})/r({H}) + tail({H}) < 2 omega, so t(n)/r(n) < 2 omega for {covered}",
+        Fraction(table.t[H], table.r[H]) + tail,
+        "<",
+        2 * omega,
     )
-    if not result.reverify():
-        raise InconclusiveAtHorizon("upper-bound stage checks failed")
-    return result
+    if not at_horizon.holds:
+        raise InconclusiveAtHorizon(
+            f"t({H})/r({H}) + tail({H}) = {at_horizon.lhs} is not below "
+            f"2 omega = {at_horizon.rhs}; raise the horizon"
+        )
+    return RcUpperResult(
+        certified_limit_bound=1 / (1 - 2 * omega), checks=(at_horizon,)
+    )
 
 
 def default_separation_rho(upper: Fraction, lower_target: Fraction) -> Fraction:

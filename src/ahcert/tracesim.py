@@ -56,11 +56,11 @@ class PiecewiseLinearMap:
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise InputError(f"argument {x} outside [0, 1]")
-        xs = [p[0] for p in self.breakpoints]
-        i = bisect.bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
-            return self.breakpoints[-1][1]
-        (x0, y0), (x1, y1) = self.breakpoints[i], self.breakpoints[i + 1]
+        pts = self.breakpoints
+        i = bisect.bisect_right(pts, x, key=itemgetter(0)) - 1
+        if i == len(pts) - 1:
+            return pts[-1][1]
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 

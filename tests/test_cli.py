@@ -47,7 +47,7 @@ def test_certify_base_six_certified(capsys):
     assert report["separation"]["certificate"]["reverified"] is True
     assert report["flip"]["stages_verified"] == 41
     assert report["gap_series"]["summable_certified"] is True
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
 
 
 def test_certify_reports_have_no_floats(capsys):
@@ -129,8 +129,6 @@ def test_rc_upper_subcommand(capsys):
     code, report = run_json(capsys, "rc-upper", "--N", "6", "--horizon", "8")
     assert code == 0
     assert report["rc_upper"]["certified_limit_bound"] == "7/5"
-    per_stage = {row["stage"]: row["ratio"] for row in report["rc_upper"]["per_stage"]}
-    assert per_stage[1] == "13/6"
 
 
 def test_chern_subcommand(capsys):
@@ -448,3 +446,69 @@ def test_trace_sim_step_distances_do_not_depend_on_the_grid(capsys):
     assert code == 0 and fine["verdict"] == "Certified"
     assert fine["intertwining"] == coarse["intertwining"]
     assert elapsed < 1.0
+
+
+def test_certify_midpoint_rho_with_long_denominator(capsys):
+    # rho is the midpoint here, with a denominator past the 4300-digit
+    # str() limit; the certificate carries it only as a rational string.
+    code, report = run_json(capsys, "certify", "--N", "5", "--horizon", "120")
+    assert code == 0 and report["verdict"] == "Certified"
+    cert = report["separation"]["certificate"]
+    assert "alpha" not in cert and "beta" not in cert
+    rho = as_fraction(cert["rho"])
+    assert len(cert["rho"].split("/")[1]) > 4300
+    assert format_rational(rho) == cert["rho"] == report["separation"]["rho"]
+
+
+def test_rc_upper_inconclusive_when_the_check_fails(capsys):
+    # t(1)/r(1) + tail(1) = 1/3 + 1/2 is not below 2 omega = 2/3
+    code, report = run_json(capsys, "rc-upper", "--N", "2", "--horizon", "1")
+    assert code == 2
+    assert report["verdict"] == "InconclusiveAtHorizon"
+    assert "5/6 is not below 2 omega = 2/3" in report["reason"]
+    assert "rc_upper" not in report
+
+
+def test_rc_upper_inconclusive_without_a_tail_majorant(tmp_path, capsys):
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"d": [1, 6, 36, 216], "k": [0, 1, 1, 1]}))
+    code, report = run_json(capsys, "rc-upper", "--spec", str(spec), "--horizon", "3")
+    assert code == 2
+    assert report["verdict"] == "InconclusiveAtHorizon"
+    assert "no tail majorant" in report["reason"]
+    (only,) = report["rc_upper"]["checks"]
+    assert only["holds"] and only["name"].endswith("for n = 3")
+
+
+def _count_checks(block) -> int:
+    if isinstance(block, dict):
+        return len(block.get("checks", ())) + sum(
+            _count_checks(v) for k, v in block.items() if k != "checks"
+        )
+    if isinstance(block, list):
+        return sum(_count_checks(v) for v in block)
+    return 0
+
+
+def test_check_counts_do_not_grow_with_the_horizon(capsys):
+    counts = []
+    for horizon in ("40", "160"):
+        code, out, _ = run_cli(capsys, "certify", "--N", "6", "--horizon", horizon)
+        assert code == 0 and "pushed rank" not in out
+        report = json.loads(out)
+        assert len(report["rc_upper"]["checks"]) == 1
+        counts.append((
+            _count_checks(report["rc_upper"]),
+            _count_checks(report["separation"]["certificate"]),
+            _count_checks(report),
+        ))
+    assert counts[0] == counts[1]
+
+
+def test_config_integers_must_be_json_integers(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for bad in ({"N": 6, "horizon": 6.9, "grid": 64}, {"N": 6, "horizon": 6, "grid": True},
+                {"N": "6", "horizon": 6}):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run_cli(capsys, "trace-sim", "--config", str(cfg), "--stages", "2")
+        assert code == 3 and out == "" and "must be an integer" in err, bad

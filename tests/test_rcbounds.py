@@ -1,9 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahcert.errors import InconclusiveAtHorizon, InputError
-from ahcert.params import make_geometric_family, sequences
+from ahcert.params import (
+    make_explicit_family,
+    make_geometric_family,
+    sequences,
+    table_majorant,
+)
 from ahcert.rcbounds import (
     certify_rc_global_lower,
     certify_rc_lower,
@@ -110,9 +117,6 @@ def test_global_lower_certificate_rejects_large_rho(table):
 def test_rc_upper_certified_bound(table):
     result = rc_upper(table)
     assert result.certified_limit_bound == Fraction(7, 5)
-    stages = dict(result.per_stage)
-    assert stages[0] == Fraction(3)  # (2 s(0) + 1)/(r(0) - t(0)), no interval term
-    assert stages[1] == Fraction(13, 6)
     assert result.reverify()
 
 
@@ -157,3 +161,52 @@ def test_paper_scale_margin(table):
     assert target > Fraction(7, 4)
     cert = certify_rc_lower(table, Fraction(7, 4))
     assert cert.reverify()
+
+
+@st.composite
+def families_with_sound_tail_tables(draw):
+    """Explicit families whose table tail bounds every supplied tail sum."""
+    length = draw(st.integers(1, 7))
+    d, k = [1], [0]
+    for _ in range(length):
+        d.append(draw(st.integers(0, 40)))
+        k.append(draw(st.integers(0 if d[-1] else 1, 12)))
+    slack = sorted(
+        (Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 9)))
+         for _ in range(length + 1)),
+        reverse=True,
+    )
+    values = []
+    for n in range(length + 1):
+        supplied = sum(
+            (Fraction(k[j], d[j] + k[j]) for j in range(n + 1, length + 1)),
+            Fraction(0),
+        )
+        values.append(supplied + slack[n])
+    return make_explicit_family(d, k, tail_majorant=table_majorant(d, k, values))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(families_with_sound_tail_tables())
+def test_one_check_implies_every_later_stage(family):
+    length = family.length
+    full = sequences(family, length)
+    lam = [Fraction(0)] + [Fraction(full.k[j], full.l[j]) for j in range(1, length + 1)]
+    for n in range(1, length + 1):
+        at_n = sequences(family, n)
+        tau_n = Fraction(full.t[n], full.r[n])
+        for m in range(n, length + 1):
+            tau_m = Fraction(full.t[m], full.r[m])
+            # rc_upper: t(n)/r(n) + tail(n) < 2 omega covers every m >= n
+            assert tau_m <= tau_n + sum(lam[n + 1:m + 1], Fraction(0))
+            # rc lower certificates: one bound against kappa_lb covers every m
+            assert Fraction(full.s[m], full.r[m]) >= at_n.kappa_lb
+        if 0 < full.omega < Fraction(1, 2):
+            try:
+                rc_upper(at_n)
+            except InconclusiveAtHorizon:
+                continue
+            assert all(
+                Fraction(full.t[m], full.r[m]) < 2 * full.omega
+                for m in range(n, length + 1)
+            )
