@@ -49,8 +49,8 @@ print("Stage gaps between two systems agreeing in the d leading entries:")
 for n in range(4):
     print(f"  stage {n}: 2 k(n+1)/l(n+1) = {induced_gap(table, n)}")
 series = gap_series(table)
-print(f"  series total (partial + certified tail) = "
-      f"~{float(series.total_bound):.6f} < 2/5")
+print(f"  the series sums to 2 (omega + omega'), so its total is at most "
+      f"2 (omega + omega'_ub) = {series.total_bound} (~{float(series.total_bound):.6f}) < 2/5")
 
 print()
 stages = 5

@@ -16,7 +16,7 @@ from . import chern as chern_mod
 from . import rcbounds, tracesim
 from .telescope import telescope as run_telescope
 from .errors import ConsistencyError, InconclusiveAtHorizon, InputError
-from .params import check_constraints, sequences
+from .params import check_constraints, first_decided, sequences
 from .pipeline import (
     EXIT_CERTIFIED,
     EXIT_INCONCLUSIVE,
@@ -27,6 +27,7 @@ from .pipeline import (
     SCHEMA_VERSION,
     build_family,
     certify_theorem,
+    check_horizon,
     config_echo,
     jsonable_checks,
     jsonable_constraints,
@@ -161,7 +162,11 @@ def _status_exit(all_passed: bool, refuted: bool) -> tuple:
 def cmd_params(args) -> int:
     cfg = load_config(args)
     family = build_family(cfg)
-    report = check_constraints(family, cfg["horizon"])
+    report = first_decided(
+        sequences(family, cfg["horizon"]),
+        check_constraints,
+        decided=lambda r: r.all_passed or r.exactly_refuted,
+    )
     verdict, code = _status_exit(report.all_passed, report.exactly_refuted)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -185,22 +190,17 @@ def cmd_rc_lower(args) -> int:
     family = build_family(cfg)
     table = sequences(family, cfg["horizon"])
     rho = as_fraction(cfg["rho"]) if cfg["rho"] is not None else Fraction(3, 2)
+    payload = {"schema_version": SCHEMA_VERSION, "config": config_echo(cfg)}
     try:
-        cert = rcbounds.certify_rc_lower(table, rho)
+        cert = first_decided(table, lambda t: rcbounds.certify_rc_lower(t, rho))
     except InconclusiveAtHorizon as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_echo(cfg),
-            "verdict": "InconclusiveAtHorizon",
-            "reason": str(exc),
-        }
+        payload.update(verdict="InconclusiveAtHorizon", reason=str(exc))
         return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_echo(cfg),
-        "certificate": jsonable_rc_lower(cert),
-        "verdict": "Certified",
-    }
+    payload["certificate"] = jsonable_rc_lower(cert)
+    if table.horizon_limited:
+        payload.update(verdict="InconclusiveAtHorizon", reason=HORIZON_LIMITED_REASON)
+        return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
+    payload["verdict"] = "Certified"
     return emit(payload, cfg.get("out"), EXIT_CERTIFIED)
 
 
@@ -210,7 +210,7 @@ def cmd_rc_upper(args) -> int:
     table = sequences(family, cfg["horizon"])
     payload = {"schema_version": SCHEMA_VERSION, "config": config_echo(cfg)}
     try:
-        result = rcbounds.rc_upper(table)
+        result = first_decided(table, rcbounds.rc_upper)
     except InconclusiveAtHorizon as exc:
         payload.update(verdict="InconclusiveAtHorizon", reason=str(exc))
         return emit(payload, cfg.get("out"), EXIT_INCONCLUSIVE)
@@ -279,6 +279,7 @@ def cmd_trace_sim(args) -> int:
     family = build_family(cfg)
     stages = args.stages
     horizon = max(cfg["horizon"], stages)
+    check_horizon(horizon)
     table = sequences(family, horizon)
     system_a, system_b = tracesim.synthetic_system_pair(table, stages)
     v = tracesim.GridFunction(cfg["grid"], ((0, 0), (cfg["grid"], 1)))  # v(x) = x

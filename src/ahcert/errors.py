@@ -5,6 +5,12 @@ class InputError(ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
+class RefusedAtPrecision(InputError):
+    """A refusal that rounding the certified constants to short witnesses
+    may cause: the same table at more bits, or at the exact values, may
+    accept the input (see ``params.first_decided``)."""
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 

@@ -23,18 +23,29 @@ family (d(n) = N^n, k(n) = 1) the majorant is built in; explicit
 families may supply their own, and without one every bound is marked
 horizon-limited.
 
+At horizon H these bounds are ratios of integers of about H^2 bits,
+while the margins they certify are constants.  ``sequences`` therefore
+keeps each bound as an unreduced integer ratio and rounds it once, in
+the sound direction, to a short dyadic *witness*, tied to the exact
+ratio by one *link check* (an integer cross-multiplication).  Every
+certificate downstream reads the witnesses.  They start at a precision
+taken from the input (``starting_bits``); a caller left undecided by
+the rounding doubles the bits, and the exact values come last
+(``first_decided``), so no verdict is lost to rounding.
+
 All arithmetic in this module is exact; there is no floating point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import InputError
-from .rationals import as_fraction
+from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
+from .rationals import as_fraction, brief
 
 GEOMETRIC = "geometric"
 EXPLICIT = "explicit"
@@ -210,8 +221,8 @@ def table_majorant(d: Sequence[int], k: Sequence[int], values: Sequence):
     for n in range(len(d) - 1, -1, -1):
         if values[n] < supplied_tail:
             raise InputError(
-                f"tail table value {values[n]} at stage {n} is below the sum "
-                f"{supplied_tail} of k(j)/l(j) over the supplied stages j > {n}"
+                f"tail table value {brief(values[n])} at stage {n} is below the sum "
+                f"{brief(supplied_tail)} of k(j)/l(j) over the supplied stages j > {n}"
             )
         if n > 0:
             supplied_tail += evaluation_fraction(n, d[n], k[n])
@@ -225,15 +236,95 @@ def table_majorant(d: Sequence[int], k: Sequence[int], values: Sequence):
 
 
 @dataclass(frozen=True)
+class LinkCheck:
+    """A witness tied to the exact value it stands for.
+
+    ``lhs`` is the short dyadic witness and ``rhs`` names its exact side,
+    an expression in the tabulated sequences that can be re-derived from
+    the family and the horizon; ``num``/``den`` hold that side as an
+    unreduced integer ratio, so the check is one integer
+    cross-multiplication and the side's digits are never printed.
+    """
+
+    name: str
+    lhs: Fraction
+    rel: str
+    rhs: str
+    holds: bool
+    num: int = field(repr=False, compare=False)
+    den: int = field(repr=False, compare=False)
+
+    def reverify(self) -> bool:
+        return _cross_compare(self.lhs, self.rel, self.num, self.den) == self.holds
+
+
+def _cross_compare(w: Fraction, rel: str, num: int, den: int) -> bool:
+    """w rel num/den for den > 0, by integer cross-multiplication."""
+    return _REL_OPS[rel](w.numerator * den, num * w.denominator)
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """The exact value num/den (den > 0, unreduced) of one certified
+    constant, and the direction in which its witnesses may be rounded."""
+
+    name: str
+    side: str
+    num: int
+    den: int
+    round_up: bool
+
+    def witness(self, bits: Optional[int]) -> Fraction:
+        """The dyadic with ``bits`` fractional bits on the sound side, by
+        one floor division; ``bits=None`` gives the exact value."""
+        if bits is None:
+            return Fraction(self.num, self.den)
+        if self.round_up:
+            return Fraction(-((-self.num << bits) // self.den), 1 << bits)
+        return Fraction((self.num << bits) // self.den, 1 << bits)
+
+    def link(self, witness: Fraction) -> LinkCheck:
+        rel = ">=" if self.round_up else "<="
+        holds = _cross_compare(witness, rel, self.num, self.den)
+        return LinkCheck(self.name, witness, rel, self.side, holds, self.num, self.den)
+
+
+@dataclass(frozen=True)
+class Witnesses:
+    """Short dyadic stand-ins for the certified constants, each rounded
+    in its sound direction: ``kappa_lb`` and ``omega_prime_partial`` down,
+    ``kappa_ub``, ``omega_prime_ub`` and ``tau_ub`` (which bounds
+    t(H)/r(H) + tail(H), see ``rcbounds.rc_upper``) up."""
+
+    kappa_lb: Fraction
+    kappa_ub: Fraction
+    omega_prime_ub: Fraction
+    omega_prime_partial: Fraction
+    tau_ub: Fraction
+
+
+@dataclass(frozen=True)
 class SequenceTable:
     """Exact values of d, k, l, r, s, t up to a horizon, plus constants.
 
-    ``kappa_lb`` is a certified lower bound for inf_n s(n)/r(n) (valid at
-    every stage, including beyond the horizon, whenever the family has a
-    tail majorant).  ``kappa_ub`` = s(horizon)/r(horizon) is the exact
-    upper envelope, useful for refutations.  ``omega_prime_ub`` bounds
-    the full series; ``omega_prime_partial`` is the horizon partial sum
-    (a lower bound for omega').
+    The certified constants are
+
+      * ``kappa_lb``, a lower bound for inf_n s(n)/r(n), valid at every
+        stage, including beyond the horizon, whenever the family has a
+        tail majorant;
+      * ``kappa_ub`` = s(horizon)/r(horizon), the upper envelope, useful
+        for refutations;
+      * ``omega_prime_ub``, an upper bound for the full series omega', and
+        ``omega_prime_partial``, its horizon partial sum (a lower bound).
+
+    Their exact values have about horizon^2 bits, so they are read lazily
+    (as attributes of these names) and only checks that ask for them pay
+    for reducing them.  Every certificate reads ``witness`` instead:
+    short dyadics rounded in the sound direction, each tied to its exact
+    side by one check in ``links``.  The witnesses carry ``bits``
+    fractional bits (None: they are the exact values); ``refined()``
+    doubles the bits and ``precisions()`` walks to the exact values, so a
+    caller left undecided by rounding can always fall back to exactness.
     """
 
     family: ParamFamily
@@ -245,59 +336,165 @@ class SequenceTable:
     s: tuple
     t: tuple
     omega: Fraction
-    omega_prime_ub: Fraction
-    omega_prime_partial: Fraction
-    kappa_lb: Fraction
-    kappa_ub: Fraction
     kappa_lb_vacuous: bool
     horizon_limited: bool
+    bits: Optional[int]
+    witness: Witnesses
+    links: tuple
+    enclosures: tuple = field(repr=False, compare=False)
+
+    @property
+    def exact(self) -> bool:
+        return self.bits is None
+
+    @property
+    def ulp(self) -> Fraction:
+        """Bound on the rounding: each witness is within ulp of its value."""
+        return Fraction(0) if self.exact else Fraction(1, 1 << self.bits)
+
+    def refined(self) -> "SequenceTable":
+        """The same tabulation with witnesses at twice the bits, or at the
+        exact values once the bits reach the size of the exact ones."""
+        if self.exact:
+            raise InputError("the witnesses are already exact")
+        bits = 2 * self.bits
+        if bits > max(e.den.bit_length() for e in self.enclosures):
+            bits = None
+        return replace(self, **_rounded(self.enclosures, bits))
+
+    def precisions(self):
+        """This table, then each refinement up to the exact values."""
+        table = self
+        yield table
+        while not table.exact:
+            table = table.refined()
+            yield table
+
+    def _exact(self, name: str) -> Fraction:
+        return next(e for e in self.enclosures if e.name == name).witness(None)
+
+    @cached_property
+    def kappa_lb(self) -> Fraction:
+        return self._exact("kappa_lb")
+
+    @cached_property
+    def kappa_ub(self) -> Fraction:
+        return self._exact("kappa_ub")
+
+    @cached_property
+    def omega_prime_ub(self) -> Fraction:
+        return self._exact("omega_prime_ub")
+
+    @cached_property
+    def omega_prime_partial(self) -> Fraction:
+        return self._exact("omega_prime_partial")
+
+
+def _rounded(enclosures: tuple, bits: Optional[int]) -> dict:
+    """The table fields that depend on the witness precision."""
+    values = {e.name: e.witness(bits) for e in enclosures}
+    return {
+        "bits": bits,
+        "witness": Witnesses(**values),
+        "links": tuple(e.link(values[e.name]) for e in enclosures),
+    }
+
+
+def starting_bits(family: ParamFamily) -> int:
+    """Witness precision to start from: 2 bitlen(l(1)) fractional bits.
+
+    The constraints compare the witnesses with rationals in
+    omega = k(1)/l(1), whose spacing is about 1/l(1)^2; callers left
+    undecided double the bits from there (``SequenceTable.refined``).
+    """
+    return 2 * max(family.l(1).bit_length(), 1)
 
 
 def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
-    """Tabulate all six sequences exactly and fill the certified constants."""
+    """Tabulate all six sequences exactly and round the certified constants.
+
+    This is the only place where horizon^2-bit integers are combined: the
+    constants are kept as unreduced integer ratios (``Enclosure``) and
+    their witnesses are read off by floor division.
+    """
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    d = [family.d(n) for n in range(horizon + 1)]
-    k = [family.k(n) for n in range(horizon + 1)]
+    H = horizon
+    d = [family.d(n) for n in range(H + 1)]
+    k = [family.k(n) for n in range(H + 1)]
     l = [dn + kn for dn, kn in zip(d, k)]
-    eval_fracs = [evaluation_fraction(j, d[j], k[j]) for j in range(1, horizon + 1)]
+    for j in range(1, H + 1):
+        evaluation_fraction(j, d[j], k[j])  # refuses l(j) = 0
     r = list(itertools.accumulate(l, lambda acc, x: acc * x))
     s = list(itertools.accumulate(d, lambda acc, x: acc * x))
     t = [0]
-    for n in range(horizon):
+    for n in range(H):
         t.append(d[n + 1] * t[n] + k[n + 1] * (r[n] - t[n]))
 
-    omega = eval_fracs[0]
-    partial = sum(eval_fracs[1:], Fraction(0))
-    kappa_ub = Fraction(s[horizon], r[horizon])
+    # sum_{j=2..n} k(j)/l(j) = P/r(n), accumulated over the r(n) above.
+    P = 0
+    for j in range(2, H + 1):
+        P = P * l[j] + k[j] * r[j - 1]
+    sum_side = f"sum_{{j=2..{H}}} k(j)/l(j)"
 
     if family.horizon_limited:
-        kappa_lb = min(Fraction(s[n], r[n]) for n in range(1, horizon + 1))
-        omega_prime_ub = partial
+        # s(n)/r(n) is nonincreasing, so its minimum over 1..H sits at H.
+        a, b = 0, 1
+        tail_side = ""
         vacuous = False
     else:
-        tail = family.tail(horizon)
-        kappa_lb = kappa_ub * (1 - tail)
-        omega_prime_ub = partial + tail
+        tail = family.tail(H)
+        a, b = tail.numerator, tail.denominator
+        tail_side = f" + tail({H})"
         vacuous = tail >= 1
-
+    ratio = f"s({H})/r({H})"
+    enclosures = (
+        Enclosure(
+            "kappa_lb",
+            ratio if family.horizon_limited else f"{ratio} (1 - tail({H}))",
+            s[H] * (b - a), r[H] * b, round_up=False,
+        ),
+        Enclosure("kappa_ub", ratio, s[H], r[H], round_up=True),
+        Enclosure("omega_prime_ub", sum_side + tail_side, P * b + a * r[H], r[H] * b,
+                  round_up=True),
+        Enclosure("omega_prime_partial", sum_side, P, r[H], round_up=False),
+        Enclosure("tau_ub", f"t({H})/r({H})" + tail_side, t[H] * b + a * r[H],
+                  r[H] * b, round_up=True),
+    )
     return SequenceTable(
         family=family,
-        horizon=horizon,
+        horizon=H,
         d=tuple(d),
         k=tuple(k),
         l=tuple(l),
         r=tuple(r),
         s=tuple(s),
         t=tuple(t),
-        omega=omega,
-        omega_prime_ub=omega_prime_ub,
-        omega_prime_partial=partial,
-        kappa_lb=kappa_lb,
-        kappa_ub=kappa_ub,
+        omega=Fraction(k[1], l[1]),
         kappa_lb_vacuous=vacuous,
         horizon_limited=family.horizon_limited,
+        enclosures=enclosures,
+        **_rounded(enclosures, starting_bits(family)),
     )
+
+
+def first_decided(table: SequenceTable, attempt: Callable, decided=lambda result: True):
+    """``attempt(t)`` for t = the table, then at twice the witness bits,
+    and so on up to the exact values; returns the first decided result.
+
+    At a witness precision, RefusedAtPrecision or InconclusiveAtHorizon may
+    come from rounding alone, so it moves on to more bits; on the exact
+    values it propagates.  Every verdict the exact values reach is reached.
+    """
+    for current in table.precisions():
+        try:
+            result = attempt(current)
+        except (RefusedAtPrecision, InconclusiveAtHorizon):
+            if current.exact:
+                raise
+            continue
+        if decided(result) or current.exact:
+            return result
 
 
 def _certified_table(family: ParamFamily, n: int) -> SequenceTable:
@@ -317,7 +514,8 @@ def kappa_lower_bound(family: ParamFamily, n: int) -> Fraction:
     >= the bound for m <= n since the ratio sequence is nonincreasing.
     A vacuous bound (tail >= 1) is returned as-is; callers should treat
     kappa_lb <= 0 results as inconclusive rather than failed.  The value
-    is the ``kappa_lb`` field of ``sequences(family, n)``.
+    is the exact ``kappa_lb`` of ``sequences(family, n)``, which the
+    table's witness rounds down.
     """
     if n < 1:
         raise InputError(f"kappa lower bound needs n >= 1, got {n}")
@@ -327,7 +525,8 @@ def kappa_lower_bound(family: ParamFamily, n: int) -> Fraction:
 def omega_prime_upper_bound(family: ParamFamily, n: int) -> Fraction:
     """sum_{j=2..n} k(j)/l(j) + tail_majorant(n), an upper bound for omega'.
 
-    The value is the ``omega_prime_ub`` field of ``sequences(family, n)``.
+    The value is the exact ``omega_prime_ub`` of ``sequences(family, n)``,
+    which the table's witness rounds up.
     """
     if n < 2:
         raise InputError(f"omega' upper bound needs n >= 2, got {n}")
@@ -416,18 +615,25 @@ class ConstraintReport:
         return all(c.reverify() for e in self.entries for c in e.checks)
 
 
-def check_constraints(family: ParamFamily, horizon: int) -> ConstraintReport:
+def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     """Evaluate every structural constraint of the family, exactly.
 
-    Constraints on the limit kappa are decided three ways: they pass if
-    they hold with the certified lower bound kappa_lb (the sound
+    ``table`` is a ``SequenceTable``; a ``ParamFamily`` is tabulated to
+    ``horizon`` first.  The limit constants enter through the table's
+    witnesses.  Constraints on the limit kappa are decided three ways:
+    they pass if they hold with the lower witness kappa_lb (the sound
     direction for every downstream use), they fail if violated even by
-    the exact upper envelope s(horizon)/r(horizon) >= kappa, and are
-    inconclusive otherwise.  Likewise omega' uses its upper bound to
-    pass and its partial sum (a lower bound) to refute.  Failures are
-    reported, never raised.
+    the upper witness of the envelope s(horizon)/r(horizon) >= kappa, and
+    are inconclusive otherwise.  Likewise omega' uses its upper witness
+    to pass and the witness of its partial sum (a lower bound) to refute.
+    A constraint left inconclusive only by rounding is decided by the
+    same table at more bits (``first_decided``).  Failures are reported,
+    never raised.
     """
-    table = sequences(family, horizon)
+    if isinstance(table, ParamFamily):
+        table = sequences(table, horizon)
+    horizon = table.horizon
+    w = table.witness
     evidence_limit = (
         EVIDENCE_HORIZON_LIMITED if table.horizon_limited else EVIDENCE_CERTIFIED
     )
@@ -474,20 +680,20 @@ def check_constraints(family: ParamFamily, horizon: int) -> ConstraintReport:
     entries.append(
         limit_entry(
             "kappa_gt_half",
-            [check("kappa_lb > 1/2", table.kappa_lb, ">", half)],
-            [check("kappa_ub > 1/2", table.kappa_ub, ">", half)],
+            [check("kappa_lb > 1/2", w.kappa_lb, ">", half)],
+            [check("kappa_ub > 1/2", w.kappa_ub, ">", half)],
         )
     )
 
     # omega' < omega < 1/2.  omega is exact; omega' needs both bounds.
     omega_checks = [
-        check("omega_prime_ub < omega", table.omega_prime_ub, "<", table.omega),
+        check("omega_prime_ub < omega", w.omega_prime_ub, "<", table.omega),
         check("omega < 1/2", table.omega, "<", half),
     ]
     omega_fail_checks = [
         check(
             "omega_prime_partial < omega",
-            table.omega_prime_partial,
+            w.omega_prime_partial,
             "<",
             table.omega,
         ),
@@ -499,8 +705,8 @@ def check_constraints(family: ParamFamily, horizon: int) -> ConstraintReport:
     entries.append(
         limit_entry(
             "comparison_gap",
-            [check("2*kappa_lb - 1 > 2*omega", 2 * table.kappa_lb - 1, ">", 2 * table.omega)],
-            [check("2*kappa_ub - 1 > 2*omega", 2 * table.kappa_ub - 1, ">", 2 * table.omega)],
+            [check("2*kappa_lb - 1 > 2*omega", 2 * w.kappa_lb - 1, ">", 2 * table.omega)],
+            [check("2*kappa_ub - 1 > 2*omega", 2 * w.kappa_ub - 1, ">", 2 * table.omega)],
         )
     )
 
@@ -525,7 +731,7 @@ def check_constraints(family: ParamFamily, horizon: int) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_lb - 1)/(2*omega)",
                         upper,
                         "<",
-                        (2 * table.kappa_lb - 1) / (2 * table.omega),
+                        (2 * w.kappa_lb - 1) / (2 * table.omega),
                     )
                 ],
                 [
@@ -533,7 +739,7 @@ def check_constraints(family: ParamFamily, horizon: int) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_ub - 1)/(2*omega)",
                         upper,
                         "<",
-                        (2 * table.kappa_ub - 1) / (2 * table.omega),
+                        (2 * w.kappa_ub - 1) / (2 * table.omega),
                     )
                 ],
             )

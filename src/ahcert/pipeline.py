@@ -18,6 +18,7 @@ from .params import (
     ParamFamily,
     SequenceTable,
     check_constraints,
+    first_decided,
     geometric_ratio_majorant,
     make_explicit_family,
     make_geometric_family,
@@ -27,7 +28,7 @@ from .params import (
 from .rationals import as_fraction, format_rational
 from .tracesim import flip_compatibility, gap_series
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
@@ -65,12 +66,13 @@ def q(value) -> str:
 
 
 def jsonable_checks(checks) -> list:
+    """A link check's rhs is the name of its exact side, kept as text."""
     return [
         {
             "name": c.name,
             "lhs": q(c.lhs),
             "rel": c.rel,
-            "rhs": q(c.rhs),
+            "rhs": c.rhs if isinstance(c.rhs, str) else q(c.rhs),
             "holds": c.holds,
         }
         for c in checks
@@ -96,19 +98,23 @@ def jsonable_constraints(report: ConstraintReport) -> dict:
 
 
 def jsonable_table(table: SequenceTable, include_sequences: bool = False) -> dict:
+    """The constants are the table's witnesses, each with its link check."""
+    w = table.witness
     out = {
         "horizon": table.horizon,
         "omega": q(table.omega),
-        "omega_prime_partial_sum": q(table.omega_prime_partial),
-        "kappa_upper_envelope": q(table.kappa_ub),
+        "omega_prime_partial_sum": q(w.omega_prime_partial),
+        "kappa_upper_envelope": q(w.kappa_ub),
         "horizon_limited": table.horizon_limited,
+        "witness_bits": table.bits,
+        "link_checks": jsonable_checks(table.links),
     }
     if table.horizon_limited:
-        out["kappa_lower_bound_horizon_only"] = q(table.kappa_lb)
-        out["omega_prime_upper_bound_horizon_only"] = q(table.omega_prime_ub)
+        out["kappa_lower_bound_horizon_only"] = q(w.kappa_lb)
+        out["omega_prime_upper_bound_horizon_only"] = q(w.omega_prime_ub)
     else:
-        out["kappa_lower_bound"] = q(table.kappa_lb)
-        out["omega_prime_upper_bound"] = q(table.omega_prime_ub)
+        out["kappa_lower_bound"] = q(w.kappa_lb)
+        out["omega_prime_upper_bound"] = q(w.omega_prime_ub)
         out["kappa_lower_bound_vacuous"] = table.kappa_lb_vacuous
     if include_sequences:
         for name in ("d", "k", "l", "r", "s", "t"):
@@ -159,26 +165,26 @@ def jsonable_separation(report: rcbounds.SeparationReport) -> dict:
 
 
 def jsonable_flip(report: tracesim.FlipReport) -> dict:
-    return {
-        "stages_verified": report.stages_verified,
-        "holds": report.holds,
-    }
+    return {"checks": jsonable_checks(report.checks)}
 
 
 def jsonable_gap_series(series: tracesim.GapSeries) -> dict:
     return {
-        "stage_gaps": [q(d) for d in series.deltas],
-        "partial_sum": q(series.partial_sums[-1]) if series.partial_sums else "0/1",
-        "tail_bound": q(series.tail_bound) if series.tail_bound is not None else None,
+        "partial_sum": q(series.partial_sum),
         "total_bound": q(series.total_bound) if series.total_bound is not None else None,
         "summable_certified": series.summable,
         "horizon_limited": series.horizon_limited,
+        "checks": jsonable_checks(series.checks),
     }
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 
+
+#: Largest horizon accepted, refused up front (exit 3).  Tabulation costs
+#: grow like H^3 in bit operations; see README for the timings behind it.
+MAX_HORIZON = 640
 
 DEFAULT_CONFIG = {
     "family": "geometric",
@@ -206,9 +212,16 @@ def resolve_config(config: Optional[dict]) -> dict:
             raise InputError(f"config '{key}' must be an integer, got {merged[key]!r}")
     if merged["grid"] < 1:
         raise InputError(f"grid must be >= 1, got {merged['grid']}")
+    check_horizon(merged["horizon"])
     if merged["rho"] is not None:
         merged["rho"] = format_rational(as_fraction(merged["rho"]))
     return merged
+
+
+def check_horizon(horizon: int) -> None:
+    """Refuse a horizon above MAX_HORIZON before anything is tabulated."""
+    if horizon > MAX_HORIZON:
+        raise InputError(f"horizon {horizon} exceeds the cap {MAX_HORIZON}")
 
 
 def build_family(config: dict) -> ParamFamily:
@@ -343,51 +356,20 @@ def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
     The verdict is Certified only when every sub-record is verified with
     bounds that remain valid beyond the horizon; an exact counterexample
     anywhere gives Refuted; anything undecided within the horizon gives
-    InconclusiveAtHorizon.
+    InconclusiveAtHorizon.  The family is tabulated once; a chain left
+    undecided at the table's witness precision is rerun at more bits, and
+    last on the exact values (``params.first_decided``).
     """
     cfg = resolve_config(config)
     family = build_family(cfg)
+    rho = as_fraction(cfg["rho"]) if cfg["rho"] is not None else None
     table = sequences(family, cfg["horizon"])
-    constraints = check_constraints(family, cfg["horizon"])
-    flip = flip_compatibility(table)
-    gaps = gap_series(table)
-    notes = []
-
-    rc_up = None
-    sep = None
-    if constraints.exactly_refuted:
-        verdict = VERDICT_REFUTED
-        failing = [e.name for e in constraints.entries if e.status == "fail"]
-        notes.append(f"constraints exactly refuted: {', '.join(failing)}")
-    elif not constraints.all_passed:
-        verdict = VERDICT_INCONCLUSIVE
-        undecided = [
-            e.name for e in constraints.entries if e.status == "inconclusive"
-        ]
-        notes.append(f"constraints undecided at this horizon: {', '.join(undecided)}")
-    else:
-        rho = as_fraction(cfg["rho"]) if cfg["rho"] is not None else None
-        # Cannot raise here: tau_H <= omega + omega'_partial, so the passed
-        # omega_window constraint gives t(H)/r(H) + tail(H) < 2 omega.
-        rc_up = rcbounds.rc_upper(table)
-        try:
-            sep = rcbounds.separation(table, rho=rho)
-        except InconclusiveAtHorizon as exc:
-            verdict = VERDICT_INCONCLUSIVE
-            notes.append(f"lower certificate search inconclusive: {exc}")
-            sep = None
-        else:
-            if not sep.separated:
-                verdict = VERDICT_INCONCLUSIVE
-                notes.append(sep.advice)
-            elif not (flip.holds and gaps.summable):
-                verdict = VERDICT_INCONCLUSIVE
-                if not flip.holds:
-                    notes.append("flip verification failed")
-                if not gaps.summable:
-                    notes.append("gap series not certified summable")
-            else:
-                verdict = VERDICT_CERTIFIED
+    chain = first_decided(
+        table,
+        lambda t: _decide(t, rho),
+        decided=lambda outcome: outcome[0] != VERDICT_INCONCLUSIVE,
+    )
+    verdict, table, constraints, rc_up, sep, notes = chain
 
     if table.horizon_limited and verdict != VERDICT_REFUTED:
         if verdict == VERDICT_CERTIFIED:
@@ -402,10 +384,46 @@ def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
         constraints=constraints,
         rc_upper=rc_up,
         separation=sep,
-        flip=flip,
-        gaps=gaps,
+        flip=flip_compatibility(table),
+        gaps=gap_series(table),
         notes=tuple(notes),
     )
+
+
+def _decide(table: SequenceTable, rho):
+    """The chain's verdict at the table's witness precision."""
+    constraints = check_constraints(table)
+    rc_up = None
+    sep = None
+    notes = []
+    if constraints.exactly_refuted:
+        verdict = VERDICT_REFUTED
+        failing = [e.name for e in constraints.entries if e.status == "fail"]
+        notes.append(f"constraints exactly refuted: {', '.join(failing)}")
+    elif not constraints.all_passed:
+        verdict = VERDICT_INCONCLUSIVE
+        undecided = [
+            e.name for e in constraints.entries if e.status == "inconclusive"
+        ]
+        notes.append(f"constraints undecided at this horizon: {', '.join(undecided)}")
+    else:
+        # On the exact values this cannot raise: t(H)/r(H) <= omega +
+        # omega'_partial, so the passed omega_window constraint gives
+        # t(H)/r(H) + tail(H) < 2 omega.  A witness may round across 2 omega;
+        # first_decided then retries at more bits.
+        rc_up = rcbounds.rc_upper(table)
+        try:
+            sep = rcbounds.separation(table, rho=rho)
+        except InconclusiveAtHorizon as exc:
+            verdict = VERDICT_INCONCLUSIVE
+            notes.append(f"lower certificate search inconclusive: {exc}")
+        else:
+            if not sep.separated:
+                verdict = VERDICT_INCONCLUSIVE
+                notes.append(sep.advice)
+            else:
+                verdict = VERDICT_CERTIFIED
+    return verdict, table, constraints, rc_up, sep, notes
 
 
 def render_report(payload: dict) -> str:

@@ -55,6 +55,23 @@ def format_rational(value) -> str:
         return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
+#: Messages print rationals whose numerator and denominator together have
+#: at most this many bits in full, larger ones by their leading decimals.
+_BRIEF_BITS = 128
+
+
+def brief(value) -> str:
+    """``value`` for an error message: "p/q" when short, else "~" and its
+    first twelve decimals (by integer division), so that a message never
+    carries the thousands of digits of a horizon^2-bit rational."""
+    f = as_fraction(value)
+    if f.numerator.bit_length() + f.denominator.bit_length() <= _BRIEF_BITS:
+        return format_rational(f)
+    scaled = abs(f.numerator) * 10 ** 12 // f.denominator
+    sign = "-" if f < 0 else ""
+    return f"~{sign}{scaled // 10 ** 12}.{scaled % 10 ** 12:012d}"
+
+
 #: Integers up to this bit length (about 600 digits) go through str()
 #: directly: that stays below every value sys.set_int_max_str_digits accepts.
 _STR_BITS = 2000

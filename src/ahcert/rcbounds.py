@@ -11,12 +11,17 @@ radii of comparison are controlled from opposite sides:
     (1, (2 kappa - 1)/(2 omega)) for which the rank/trace certificate
     below can be completed.
 
-kappa is everywhere replaced by its certified lower bound, which is the
-sound direction for every inequality used, so the provable lower target
-is (2 kappa_lb - 1)/(2 omega): slightly below the ideal target but
-fully certified.  Every certificate records each inequality with both
-sides as exact rationals, so it can be re-verified independently of the
-code that produced it.
+kappa is everywhere replaced by the table's witness kappa_lb, a short
+dyadic below its certified lower bound, which is the sound direction for
+every inequality used, so the provable lower target is
+(2 kappa_lb - 1)/(2 omega): slightly below the ideal target but fully
+certified.  Likewise the upper side reads the witness tau_ub above
+t(H)/r(H) + tail(H).  Each witness is tied to its exact value by one
+link check in the table (see ``params``), so every certificate here
+compares short rationals only, and records each inequality with both
+sides, so it can be re-verified independently of the code that produced
+it.  The functions work at the table's witness precision; a caller left
+undecided retries at more bits (``params.first_decided``).
 
 No certificate checks the stages one by one.  Each records the single
 inequality that implies every stage, including those beyond the
@@ -39,17 +44,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InconclusiveAtHorizon, InputError
+from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
 from .params import (
     ConstraintCheck,
     SequenceTable,
     check,
     compare,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, brief
 
 #: Denominators tried for delta are the powers of two up to this one.
 DELTA_DENOMINATOR_CAP = 2 ** 20
+
+
+def _refusal(table: SequenceTable, certain: bool, message: str) -> InputError:
+    """The error for a refused input: InputError when the refusal is
+    certain (the exact values refuse it too, as the enclosure
+    [witness, witness + ulp] shows) or the witnesses are exact; otherwise
+    RefusedAtPrecision, which more witness bits may lift."""
+    if certain or table.exact:
+        return InputError(message)
+    return RefusedAtPrecision(f"{message} (at {table.bits} witness bits)")
 
 
 def verify_checks(checks: Sequence[ConstraintCheck]) -> bool:
@@ -171,17 +186,27 @@ def certify_rc_lower(
     if horizon is None:
         horizon = table.horizon
     horizon = min(horizon, table.horizon)
-    kappa_lb = table.kappa_lb
+    kappa_lb = table.witness.kappa_lb
     omega = table.omega
-    if table.kappa_lb_vacuous or kappa_lb <= Fraction(1, 2):
-        raise InputError("certified kappa bound does not exceed 1/2")
-    if not 0 < omega < Fraction(1, 2):
+    half = Fraction(1, 2)
+    if table.kappa_lb_vacuous:
+        raise InputError("certified kappa bound is vacuous")
+    if kappa_lb <= half:
+        raise _refusal(
+            table,
+            kappa_lb + table.ulp <= half,
+            "certified kappa bound does not exceed 1/2",
+        )
+    if not 0 < omega < half:
         raise InputError(f"omega = {omega} outside (0, 1/2)")
     target = (2 * kappa_lb - 1) / (2 * omega)
     if not 1 < rho < target:
-        raise InputError(
-            f"rho must lie strictly between 1 and {target} (certified), got {rho}"
+        message = (
+            f"rho must lie strictly between 1 and {brief(target)} (certified), "
+            f"got {brief(rho)}"
         )
+        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
+        raise _refusal(table, rho <= 1 or rho >= above, message)
 
     beta = rho.denominator
     delta = _find_delta(rho, kappa_lb, omega)
@@ -202,9 +227,11 @@ def certify_rc_lower(
 
     # Stage from which the ratio envelope is epsilon-flat: beyond n0,
     # every later ratio stays above (1 - epsilon) times the current one.
+    # The scan cross-multiplies, so no s(m)/r(m) is ever reduced.
+    flat = kappa_lb / (1 - epsilon)
     n0 = None
     for cand in range(1, horizon + 1):
-        if kappa_lb > (1 - epsilon) * Fraction(table.s[cand], table.r[cand]):
+        if flat.numerator * table.r[cand] > table.s[cand] * flat.denominator:
             n0 = cand
             break
     if n0 is None:
@@ -225,7 +252,7 @@ def certify_rc_lower(
 
     n = None
     for cand in range(n0, horizon + 1):
-        if Fraction(beta, table.r[cand]) < window_gap:
+        if beta * window_gap.denominator < window_gap.numerator * table.r[cand]:
             n = cand
             break
     if n is None:
@@ -316,20 +343,24 @@ def certify_rc_global_lower(
     if horizon is None:
         horizon = table.horizon
     horizon = min(horizon, table.horizon)
-    kappa_lb = table.kappa_lb
+    kappa_lb = table.witness.kappa_lb
     if table.kappa_lb_vacuous:
         raise InputError("certified kappa bound is vacuous")
     if not rho < 2 * kappa_lb - 1:
-        raise InputError(f"need rho < 2 kappa_lb - 1 = {2 * kappa_lb - 1}, got {rho}")
+        raise _refusal(
+            table,
+            rho >= 2 * (kappa_lb + table.ulp) - 1,
+            f"need rho < 2 kappa_lb - 1 = {brief(2 * kappa_lb - 1)}, got {brief(rho)}",
+        )
 
     gap = 2 * kappa_lb - 1 - rho
     n = None
     for cand in range(1, horizon + 1):
-        if Fraction(1, table.r[cand]) < gap:
+        if gap.denominator < gap.numerator * table.r[cand]:
             n = cand
             break
     if n is None:
-        raise InconclusiveAtHorizon(f"no stage <= {horizon} with 1/r(n) < {gap}")
+        raise InconclusiveAtHorizon(f"no stage <= {horizon} with 1/r(n) < {brief(gap)}")
     rn = table.r[n]
     lo = (rho + 1) * rn
     M = lo.numerator // lo.denominator + 1
@@ -362,10 +393,12 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
 
     so t(H)/r(H) + tail(H) < 2 omega, with tail(H) >= sum_{j>H} lambda_j
     from the family's majorant, gives t(n)/r(n) < 2 omega at every
-    n >= H.  Then s(n) <= r(n) gives (2 s(n) + 1)/(r(n) - t(n)) <=
-    (2 + 1/r(n))/(1 - 2 omega), whose limit is 2/(1 - 2 omega); halving
-    gives the bound.  A family without a tail majorant is checked with
-    tail(H) = 0, which covers stage H only: its table is horizon-limited.
+    n >= H.  The check reads the witness tau_ub >= t(H)/r(H) + tail(H)
+    (its link check is in the table).  Then s(n) <= r(n) gives
+    (2 s(n) + 1)/(r(n) - t(n)) <= (2 + 1/r(n))/(1 - 2 omega), whose limit
+    is 2/(1 - 2 omega); halving gives the bound.  A family without a
+    tail majorant is checked with tail(H) = 0, which covers stage H only:
+    its table is horizon-limited.
 
     Raises InconclusiveAtHorizon when the check fails.
     """
@@ -373,20 +406,17 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
     if not 0 < omega < Fraction(1, 2):
         raise InputError(f"omega = {omega} outside (0, 1/2)")
     H = table.horizon
-    if table.horizon_limited:
-        tail, covered = Fraction(0), f"n = {H}"
-    else:
-        tail, covered = table.family.tail(H), f"every n >= {H}"
+    covered = f"n = {H}" if table.horizon_limited else f"every n >= {H}"
     at_horizon = check(
-        f"t({H})/r({H}) + tail({H}) < 2 omega, so t(n)/r(n) < 2 omega for {covered}",
-        Fraction(table.t[H], table.r[H]) + tail,
+        f"tau_ub < 2 omega, so t(n)/r(n) < 2 omega for {covered}",
+        table.witness.tau_ub,
         "<",
         2 * omega,
     )
     if not at_horizon.holds:
         raise InconclusiveAtHorizon(
-            f"t({H})/r({H}) + tail({H}) = {at_horizon.lhs} is not below "
-            f"2 omega = {at_horizon.rhs}; raise the horizon"
+            f"tau_ub >= t({H})/r({H}) + tail({H}): {brief(at_horizon.lhs)} is not "
+            f"below 2 omega = {brief(at_horizon.rhs)}; raise the horizon"
         )
     return RcUpperResult(
         certified_limit_bound=1 / (1 - 2 * omega), checks=(at_horizon,)
@@ -394,11 +424,25 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
 
 
 def default_separation_rho(upper: Fraction, lower_target: Fraction) -> Fraction:
-    """Deterministic witness level: 3/2 when admissible, else the midpoint."""
+    """Deterministic witness level: 3/2 when admissible, else the dyadic
+    with the fewest bits in (upper, (upper + lower_target)/2].
+
+    Staying at or below the midpoint keeps every certificate inequality
+    at least as easy as at the midpoint, and the level's denominator
+    depends on the margin only, not on the size of the bounds.
+    """
+    if not upper < lower_target:
+        raise InputError(f"no level between {brief(upper)} and {brief(lower_target)}")
     preferred = Fraction(3, 2)
     if upper < preferred < lower_target:
         return preferred
-    return (upper + lower_target) / 2
+    mid = (upper + lower_target) / 2
+    bits = 0
+    while True:
+        rho = Fraction(mid.numerator * 2 ** bits // mid.denominator, 2 ** bits)
+        if rho > upper:
+            return rho
+        bits += 1
 
 
 def separation(
@@ -414,7 +458,7 @@ def separation(
         rc(q corner) <= 1/(1 - 2 omega) < rho <= rc(complementary corner).
     """
     omega = table.omega
-    kappa_lb = table.kappa_lb
+    kappa_lb = table.witness.kappa_lb
     if not 0 < omega < Fraction(1, 2):
         raise InputError(f"omega = {omega} outside (0, 1/2)")
     upper = 1 / (1 - 2 * omega)
@@ -441,8 +485,12 @@ def separation(
         check("rho < lower target", rho, "<", lower_target),
     ]
     if not all(c.holds for c in checks):
-        raise InputError(
-            f"rho = {rho} does not lie strictly between {upper} and {lower_target}"
+        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
+        raise _refusal(
+            table,
+            rho <= upper or rho >= above,
+            f"rho = {brief(rho)} does not lie strictly between {brief(upper)} "
+            f"and {brief(lower_target)}",
         )
     certificate = certify_rc_lower(table, rho, horizon=horizon)
     return SeparationReport(

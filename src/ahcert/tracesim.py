@@ -7,10 +7,14 @@ function through one stage of a diagonal system averages its compositions
 with the stage's entry maps (piecewise-linear self-maps of the interval,
 or point evaluations); each composition is sampled only where it can
 bend, so the cost follows the number of knots, not the grid size.  The
-quantities being checked (per-step gaps, rounding errors, series totals)
-are exact rationals, all sup norms are grid sup norms, and every
-comparison against a stage-gap bound is a theorem about the grid
-functions.
+quantities being checked (per-step gaps, rounding errors) are exact
+rationals, all sup norms are grid sup norms, and every comparison
+against a stage-gap bound is a theorem about the grid functions.
+
+The stage-gap series and the flip need no stage-by-stage loop: the
+series is enclosed by the table's constants, and the flip by its stage-0
+check plus the inductive step that the t recursion gives, so each is a
+fixed number of checks at every horizon.
 """
 
 from __future__ import annotations
@@ -354,11 +358,15 @@ def induced_gap(table: SequenceTable, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GapSeries:
-    deltas: tuple
-    partial_sums: tuple
-    tail_bound: Optional[Fraction]
+    """The stage-gap series sum_{n>=0} 2 k(n+1)/l(n+1), enclosed by the
+    table's constants: it is 2 (omega + omega'), so its horizon partial
+    sum is at least ``partial_sum`` and its total at most ``total_bound``
+    (None without a tail majorant)."""
+
+    partial_sum: Fraction
     total_bound: Optional[Fraction]
     horizon_limited: bool
+    checks: tuple
 
     @property
     def summable(self) -> bool:
@@ -366,31 +374,30 @@ class GapSeries:
 
 
 def gap_series(table: SequenceTable) -> GapSeries:
-    """Partial sums of the stage gaps plus a certified tail.
+    """The stage-gap series, enclosed by one check on the table's constants.
 
-    The series total is twice the sum of all evaluation fractions, so
-    the tail beyond the horizon is bounded by twice the family's tail
-    majorant.  Without a majorant only the partial sums are reported.
+    The stage gaps are twice the evaluation fractions, so the series sums
+    to 2 (omega + omega'): its horizon partial sum is
+    2 (omega + sum_{j=2..H} k(j)/l(j)), at least 2 (omega +
+    omega'_partial), and the total is at most 2 (omega + omega'_ub), read
+    from the table's witnesses.  Without a tail majorant only the partial
+    sum is reported.
     """
-    deltas = tuple(induced_gap(table, n) for n in range(table.horizon))
-    partials = []
-    acc = Fraction(0)
-    for d in deltas:
-        acc += d
-        partials.append(acc)
+    w = table.witness
+    partial = 2 * (table.omega + w.omega_prime_partial)
     if table.horizon_limited:
-        tail = None
-        total = None
-    else:
-        tail = 2 * table.family.tail(table.horizon)
-        total = acc + tail
-    return GapSeries(
-        deltas=deltas,
-        partial_sums=tuple(partials),
-        tail_bound=tail,
-        total_bound=total,
-        horizon_limited=table.horizon_limited,
+        return GapSeries(partial, None, True, ())
+    total = 2 * (table.omega + w.omega_prime_ub)
+    checks = (
+        check(
+            "2(omega + omega'_partial) <= 2(omega + omega'_ub), which encloses "
+            "the sum of every stage gap 2 k(n+1)/l(n+1)",
+            partial,
+            "<=",
+            total,
+        ),
     )
+    return GapSeries(partial, total, False, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -555,49 +562,47 @@ def synthetic_system_pair(
 
 @dataclass(frozen=True)
 class FlipReport:
-    stages_verified: int
-    stage_checks: tuple
-    holds: bool
+    checks: tuple
 
 
 def flip_compatibility(table: SequenceTable) -> FlipReport:
     """Verify that the order-two flip exchanges the two corner classes.
 
-    At every stage 0..horizon, swapping the rank vector of the
-    distinguished corner projection must give exactly the complementary
-    corner's rank vector.  The flip's other properties hold by
-    construction and are not re-checked: the swap is an involution
-    fixing the order unit (1, 1), and it commutes with every connecting
-    matrix, since ``connecting_matrix`` builds the symmetric
-    ((d, k), (k, d)).
+    At stage 0 the distinguished corner has class (1, 0), whose swap
+    (0, 1) is the complement's rank vector (t(0), r(0) - t(0)).  The
+    inductive step covers every later stage: if [q_n] = (r - t, t), its
+    push through ((d, k), (k, d)) is (d (r - t) + k t, k (r - t) + d t),
+    and the t recursion gives k (r - t) + d t = t(n+1) and
+    (d + k) r - t(n+1) = r(n+1) - t(n+1), so [q_(n+1)] = (r - t, t) at
+    n + 1 and its swap is again the complement's ranks.  The step is
+    recorded on the first connecting matrix, through the same
+    ``push_k0`` as every other stage.  The flip's other properties hold by
+    construction: the swap is an involution fixing the order unit
+    (1, 1), and it commutes with every connecting matrix, since
+    ``connecting_matrix`` builds the symmetric ((d, k), (k, d)).  A
+    failing check is a bug, raised as ConsistencyError.
     """
-    cls = K0Class(0, 1, 0)
-    stage_checks = []
-    for n in range(table.horizon + 1):
-        perp = q_perp_ranks(table, n)
-        stage_checks.append(
-            check(
-                f"flip of [q_{n}] equals [complement_{n}] (x)",
-                cls.swapped().x,
-                "==",
-                perp.x_rank,
-            )
-        )
-        stage_checks.append(
-            check(
-                f"flip of [q_{n}] equals [complement_{n}] (y)",
-                cls.swapped().y,
-                "==",
-                perp.y_rank,
-            )
-        )
-        if n < table.horizon:
-            cls = push_k0(table, cls)
-    return FlipReport(
-        stages_verified=table.horizon + 1,
-        stage_checks=tuple(stage_checks),
-        holds=all(c.holds for c in stage_checks),
+    q0 = K0Class(0, 1, 0)
+    perp0 = q_perp_ranks(table, 0)
+    q1 = push_k0(table, q0)
+    r1, t1 = table.r[1], table.t[1]
+    step = (
+        "[q_n] = (r(n) - t(n), t(n)) for every n: "
+        "k(r - t) + d t = t(n+1) and (d + k) r - t(n+1) = r(n+1) - t(n+1), "
+        "recorded at n = 0"
     )
+    checks = (
+        check("flip of [q_0] equals [complement_0] (x)", q0.swapped().x, "==",
+              perp0.x_rank),
+        check("flip of [q_0] equals [complement_0] (y)", q0.swapped().y, "==",
+              perp0.y_rank),
+        check(f"{step} (x)", q1.x, "==", r1 - t1),
+        check(f"{step} (y)", q1.y, "==", t1),
+    )
+    failed = [c.name for c in checks if not c.holds]
+    if failed:
+        raise ConsistencyError(f"flip checks failed: {failed}")
+    return FlipReport(checks=checks)
 
 
 # ---------------------------------------------------------------------------

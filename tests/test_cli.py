@@ -45,9 +45,10 @@ def test_certify_base_six_certified(capsys):
     assert report["separation"]["upper_bound"] == "7/5"
     assert report["separation"]["rho"] == "3/2"
     assert report["separation"]["certificate"]["reverified"] is True
-    assert report["flip"]["stages_verified"] == 41
+    assert len(report["flip"]["checks"]) == 4
+    assert all(c["holds"] for c in report["flip"]["checks"])
     assert report["gap_series"]["summable_certified"] is True
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
 
 
 def test_certify_reports_have_no_floats(capsys):
@@ -286,12 +287,15 @@ def test_module_entry_point():
 
 
 def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):
-    code, report = run_json(capsys, "certify", "--N", "6", "--horizon", "120")
+    # certify reports carry short witnesses only; the params sequence
+    # lists still hold integers past the 4300-digit str() limit.
+    code, report = run_json(capsys, "params", "--N", "6", "--horizon", "120")
     assert code == 0
     assert report["verdict"] == "Certified"
-    envelope = report["constants"]["kappa_upper_envelope"]
-    assert len(envelope) > 4300
-    assert format_rational(as_fraction(envelope)) == envelope
+    for name in ("r", "s", "t"):
+        last = report["constants"][name][-1]
+        assert len(last) > 4300
+        assert format_rational(as_fraction(last)) == last
 
 
 def test_internal_failure_has_its_own_exit_code(monkeypatch, capsys):
@@ -449,14 +453,18 @@ def test_trace_sim_step_distances_do_not_depend_on_the_grid(capsys):
 
 
 def test_certify_midpoint_rho_with_long_denominator(capsys):
-    # rho is the midpoint here, with a denominator past the 4300-digit
-    # str() limit; the certificate carries it only as a rational string.
+    # 3/2 is not admissible at N = 5, and the default level is the
+    # shortest dyadic between the upper bound and the midpoint, not the
+    # midpoint with its horizon^2-bit denominator.
     code, report = run_json(capsys, "certify", "--N", "5", "--horizon", "120")
     assert code == 0 and report["verdict"] == "Certified"
     cert = report["separation"]["certificate"]
     assert "alpha" not in cert and "beta" not in cert
     rho = as_fraction(cert["rho"])
-    assert len(cert["rho"].split("/")[1]) > 4300
+    assert rho.denominator in (2, 4, 8, 16, 32, 64)
+    upper = as_fraction(report["separation"]["upper_bound"])
+    target = as_fraction(report["separation"]["lower_target"])
+    assert upper < rho <= (upper + target) / 2
     assert format_rational(rho) == cert["rho"] == report["separation"]["rho"]
 
 
@@ -512,3 +520,57 @@ def test_config_integers_must_be_json_integers(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         code, out, err = run_cli(capsys, "trace-sim", "--config", str(cfg), "--stages", "2")
         assert code == 3 and out == "" and "must be an integer" in err, bad
+
+
+def test_rc_lower_inconclusive_without_a_tail_majorant(tmp_path, capsys):
+    from ahcert.pipeline import HORIZON_LIMITED_REASON
+
+    spec = tmp_path / "family.json"
+    d = [1] + [6 ** n for n in range(1, 9)]
+    spec.write_text(json.dumps({"d": d, "k": [0] + [1] * 8}))
+    code, report = run_json(
+        capsys, "rc-lower", "--spec", str(spec), "--horizon", "8", "--rho", "3/2"
+    )
+    assert code == 2
+    assert report["verdict"] == "InconclusiveAtHorizon"
+    assert report["reason"] == HORIZON_LIMITED_REASON
+    assert report["certificate"]["reverified"] is True
+
+
+def test_oversized_horizons_are_refused_up_front(capsys):
+    from ahcert.pipeline import MAX_HORIZON
+
+    assert MAX_HORIZON >= 480
+    for argv in (
+        ("certify", "--N", "6", "--horizon", "1000000"),
+        ("params", "--N", "5", "--horizon", str(MAX_HORIZON + 1)),
+        ("trace-sim", "--stages", "1000000", "--grid", "64"),
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == "" and "exceeds the cap" in err, argv
+
+
+def test_certify_report_size_is_flat_in_the_horizon(capsys):
+    counts = set()
+    for horizon in ("40", "160", "480"):
+        code, out, _ = run_cli(capsys, "certify", "--N", "6", "--horizon", horizon)
+        assert code == 0
+        assert len(out.encode()) < 12 * 1024
+        report = json.loads(out)
+        assert all(c["holds"] for c in report["constants"]["link_checks"])
+        counts.add(_count_checks(report))
+    assert len(counts) == 1
+
+
+def test_refusals_print_short_rationals(capsys):
+    # The certified target has thousands of digits at H = 120; a refusal
+    # certain at the starting witnesses names the short witness target.
+    for argv in (
+        ("certify", "--N", "6", "--horizon", "120", "--rho", "5/2"),
+        ("rc-lower", "--N", "6", "--horizon", "120", "--rho", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "strictly between" in err and len(err) < 300, err[:300]

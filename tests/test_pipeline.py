@@ -1,0 +1,54 @@
+from fractions import Fraction
+
+import ahcert.params
+import ahcert.pipeline
+from ahcert.pipeline import certify_theorem
+
+VERDICT_LETTER = {"Certified": "C", "Refuted": "R", "InconclusiveAtHorizon": "I"}
+HORIZONS = list(range(1, 41)) + [60, 80]
+
+
+def test_certify_tabulates_once(monkeypatch):
+    calls = []
+    original = ahcert.params.sequences
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ahcert.params, "sequences", counting)
+    monkeypatch.setattr(ahcert.pipeline, "sequences", counting)
+    for config in ({"N": 6, "horizon": 40}, {"N": 5, "horizon": 2}, {"N": 3, "horizon": 9}):
+        calls.clear()
+        certify_theorem(config)
+        assert len(calls) == 1, config
+
+
+def test_verdicts_are_monotone_in_the_horizon():
+    rows = {}
+    for N in range(2, 13):
+        row = "".join(
+            VERDICT_LETTER[certify_theorem({"N": N, "horizon": H}).verdict]
+            for H in HORIZONS
+        )
+        rows[N] = row
+        # once Certified, always Certified; no Refuted after a Certified
+        if "C" in row:
+            assert set(row[row.index("C"):]) == {"C"}, (N, row)
+    assert rows[5][1:] == "C" * (len(HORIZONS) - 1)
+    for N in (2, 3, 4):
+        assert set(rows[N]) == {"R"}, (N, rows[N])
+    for N in (5, 6, 7):
+        assert rows[N][0] == "I", (N, rows[N])
+    for N in range(8, 13):
+        assert set(rows[N]) == {"C"}, (N, rows[N])
+
+
+def test_escalation_reaches_the_exact_values():
+    # rho just below the exact lower target is beyond the starting
+    # witnesses, so the chain reruns at more bits until it certifies.
+    report = certify_theorem({"N": 6, "horizon": 40, "rho": "23/10"})
+    assert report.verdict == "Certified"
+    assert report.table.bits is None or report.table.bits > 6
+    assert report.separation.rho == Fraction(23, 10)
+    assert all(link.holds and link.reverify() for link in report.table.links)

@@ -26,3 +26,12 @@ def test_rationals_round_trip_beyond_the_digit_limit(value):
 def test_long_malformed_numerals_are_refused(text):
     with pytest.raises(InputError):
         parse_rational(text)
+
+
+def test_brief_keeps_short_rationals_and_abbreviates_long_ones():
+    from ahcert.rationals import brief
+
+    assert brief(Fraction(-7, 5)) == "-7/5"
+    long = Fraction(10 ** 5000 + 1, 3 * 10 ** 5000)
+    assert brief(long) == "~0.333333333333"
+    assert brief(-1 - long) == "~-1.333333333333"

@@ -151,7 +151,7 @@ def test_separation_rejects_rho_outside_margin(table):
 
 def test_default_separation_rho_midpoint():
     assert default_separation_rho(Fraction(7, 5), Fraction(2)) == Fraction(3, 2)
-    assert default_separation_rho(Fraction(8, 5), Fraction(2)) == Fraction(9, 5)
+    assert default_separation_rho(Fraction(8, 5), Fraction(2)) == Fraction(7, 4)
 
 
 def test_paper_scale_margin(table):
@@ -210,3 +210,13 @@ def test_one_check_implies_every_later_stage(family):
                 Fraction(full.t[m], full.r[m]) < 2 * full.omega
                 for m in range(n, length + 1)
             )
+
+
+def test_default_separation_rho_is_short_at_base_five():
+    # 3/2 is the upper bound itself at N = 5; the midpoint of the exact
+    # bounds has a denominator of about horizon^2 bits, the level does not.
+    table = sequences(make_geometric_family(5), 120)
+    target = (2 * table.kappa_lb - 1) / (2 * table.omega)
+    assert default_separation_rho(Fraction(3, 2), target) == Fraction(13, 8)
+    with pytest.raises(InputError):
+        default_separation_rho(Fraction(2), Fraction(2))

@@ -273,7 +273,7 @@ def test_gap_series_totals(table):
     series = gap_series(table)
     assert series.summable
     assert series.total_bound < Fraction(2, 5)
-    assert series.partial_sums[-1] <= series.total_bound
+    assert series.partial_sum <= series.total_bound
     n2 = gap_series(sequences(make_geometric_family(2), 30))
     assert n2.total_bound < 2
     zero_k = make_explicit_family(
@@ -285,7 +285,7 @@ def test_gap_series_totals(table):
 def test_gap_series_horizon_limited():
     fam = make_explicit_family([1, 6, 36], [0, 1, 1])
     series = gap_series(sequences(fam, 2))
-    assert not series.summable and series.tail_bound is None
+    assert not series.summable and series.total_bound is None
 
 
 # -- the intertwining ladder --------------------------------------------------
@@ -342,9 +342,8 @@ def test_one_stage_push_positive_and_unital(table):
 
 def test_flip_report_with_table(table):
     report = flip_compatibility(table)
-    assert report.holds
-    assert report.stages_verified == 41
-    assert all(c.holds for c in report.stage_checks)
+    assert len(report.checks) == 4
+    assert all(c.holds for c in report.checks)
 
 
 def test_flip_matches_complement_ranks_stage_two(table):
