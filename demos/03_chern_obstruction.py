@@ -1,5 +1,8 @@
 """The square-zero ring computation behind the embedding obstruction.
 
+The dense ring shown here is the reference; ``min_trivial_embedding_rank``
+computes the same bound in the symmetric subring.
+
 Run:  python demos/03_chern_obstruction.py
 """
 

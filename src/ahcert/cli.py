@@ -8,6 +8,7 @@ errors), 4 internal failure (a bug, never a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -63,7 +64,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ahcert`` parser, built on first use and shared after that.
+
+    Parsing leaves the parser unchanged and returns a fresh namespace, so
+    one parser serves every ``main`` call in a process.
+    """
     parser = _Parser(
         prog="ahcert",
         description=(
@@ -226,6 +233,8 @@ def cmd_chern(args) -> int:
     cfg = load_config(args)
     if args.k < 0:
         raise InputError(f"--k must be >= 0, got {args.k}")
+    if args.k > chern_mod.MAX_GENERATORS:
+        raise InputError(f"--k {args.k} exceeds the cap {chern_mod.MAX_GENERATORS}")
     rows = []
     for k in range(args.k + 1):
         bound = chern_mod.min_trivial_embedding_rank(k)
@@ -276,8 +285,10 @@ def cmd_telescope(args) -> int:
 
 def cmd_trace_sim(args) -> int:
     cfg = load_config(args)
-    family = build_family(cfg)
     stages = args.stages
+    if stages > tracesim.MAX_STAGES:
+        raise InputError(f"--stages {stages} exceeds the cap {tracesim.MAX_STAGES}")
+    family = build_family(cfg)
     horizon = max(cfg["horizon"], stages)
     check_horizon(horizon)
     table = sequences(family, horizon)

@@ -33,6 +33,12 @@ from .rationals import as_fraction
 
 DEFAULT_RESOLUTION = 2 ** 12
 
+#: The most ladder stages ``trace-sim`` runs.  The ladder pushes through
+#: about stages^2 / 2 stage maps, so its cost grows much faster in the
+#: stage count than the tabulation does in the horizon; at this cap a
+#: run costs about what ``certify`` costs at ``pipeline.MAX_HORIZON``.
+MAX_STAGES = 56
+
 
 # ---------------------------------------------------------------------------
 # Interval maps

@@ -10,6 +10,7 @@ from ahcert.chern import (
     min_trivial_embedding_rank,
     multiply,
     one,
+    symmetric_multiply,
     total_chern_product_bundle,
 )
 from ahcert.errors import InputError
@@ -141,6 +142,30 @@ def test_inverse_verifies_up_to_twelve():
         total = total_chern_product_bundle(k)
         assert multiply(total, invert_unit(total)) == one(k)
         assert invert_unit(total).top_coefficient() == (-1) ** k
+        bound = min_trivial_embedding_rank(k)
+        assert (bound.top_coefficient, bound.min_rank, bound.product_is_one) == (
+            invert_unit(total).top_coefficient(), 2 * k, True
+        )
+
+
+def symmetric_to_dense(coeffs: tuple) -> MultilinearClass:
+    """sum c_i sigma_i in the dense ring: monomial S gets c_|S|."""
+    k = len(coeffs) - 1
+    return MultilinearClass(
+        k, tuple(coeffs[bin(mask).count("1")] for mask in range(1 << k))
+    )
+
+
+def test_symmetric_multiply_matches_the_dense_ring():
+    rng = random.Random(4099)
+    for k in range(7):
+        for _ in range(5):
+            a, b = (tuple(rng.randint(-9, 9) for _ in range(k + 1)) for _ in range(2))
+            assert symmetric_to_dense(symmetric_multiply(a, b)) == multiply(
+                symmetric_to_dense(a), symmetric_to_dense(b)
+            )
+    with pytest.raises(InputError):
+        symmetric_multiply((1, 1), (1, 1, 1))
 
 
 def test_ring_boundaries():
@@ -152,3 +177,5 @@ def test_ring_boundaries():
         one(2).coefficient((3,))  # index out of range
     with pytest.raises(InputError):
         min_trivial_embedding_rank(-1)
+    with pytest.raises(InputError):
+        min_trivial_embedding_rank(21)

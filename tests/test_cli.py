@@ -574,3 +574,57 @@ def test_refusals_print_short_rationals(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
         assert "strictly between" in err and len(err) < 300, err[:300]
+
+
+def test_chern_k_is_capped_up_front(capsys):
+    from ahcert.chern import MAX_GENERATORS
+
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "chern", "--k", str(MAX_GENERATORS + 1))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "exceeds the cap" in err
+
+    t0 = time.perf_counter()
+    code, report = run_json(capsys, "chern", "--k", str(MAX_GENERATORS))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    rows = [
+        (row["k"], row["min_rank"], row["top_coefficient"])
+        for row in report["embedding_ranks"]
+    ]
+    assert rows == [(k, 2 * k, (-1) ** k) for k in range(MAX_GENERATORS + 1)]
+
+
+def test_trace_sim_stages_are_capped_up_front(capsys):
+    from ahcert.tracesim import MAX_STAGES
+
+    assert MAX_STAGES >= 10
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "trace-sim", "--stages", str(MAX_STAGES + 1), "--grid", "64"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "exceeds the cap" in err
+
+
+def test_parser_reuse_is_stateless(tmp_path, capsys):
+    from ahcert.cli import build_parser
+
+    out_path = tmp_path / "ladder.json"
+    code, out, _ = run_cli(
+        capsys, "trace-sim", "--stages", "4", "--grid", "64", "--out", str(out_path)
+    )
+    assert code == 0 and str(out_path) in out
+    assert json.loads(out_path.read_text())["intertwining"]["stages"] == 4
+
+    code, report = run_json(capsys, "trace-sim", "--grid", "64")
+    assert code == 0
+    assert report["intertwining"]["stages"] == 8
+    assert "out" not in report["config"]
+
+    code, out, err = run_cli(capsys, "certify", "--bogus")
+    assert code == 3 and out == "" and "usage:" in err
+
+    code, report = run_json(capsys, "chern", "--k", "3")
+    assert code == 0 and len(report["embedding_ranks"]) == 4
+    assert build_parser() is build_parser()
