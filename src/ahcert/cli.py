@@ -286,6 +286,8 @@ def cmd_telescope(args) -> int:
 def cmd_trace_sim(args) -> int:
     cfg = load_config(args)
     stages = args.stages
+    if stages < 0:
+        raise InputError(f"--stages must be >= 0, got {stages}")
     if stages > tracesim.MAX_STAGES:
         raise InputError(f"--stages {stages} exceeds the cap {tracesim.MAX_STAGES}")
     family = build_family(cfg)
@@ -321,7 +323,9 @@ def cmd_density(args) -> int:
     if args.points:
         points = [as_fraction(tok) for tok in args.points.split(",") if tok.strip()]
         source = "explicit"
-    elif args.vdc:
+    elif args.vdc is not None:
+        if args.vdc < 1:
+            raise InputError(f"--van-der-corput must be >= 1, got {args.vdc}")
         points = tracesim.van_der_corput(args.vdc)
         source = f"van-der-corput({args.vdc})"
     else:

@@ -7,9 +7,16 @@ function through one stage of a diagonal system averages its compositions
 with the stage's entry maps (piecewise-linear self-maps of the interval,
 or point evaluations); each composition is sampled only where it can
 bend, so the cost follows the number of knots, not the grid size.  The
-quantities being checked (per-step gaps, rounding errors) are exact
-rationals, all sup norms are grid sup norms, and every comparison
-against a stage-gap bound is a theorem about the grid functions.
+sampling runs on integers in grid units and builds each sample as one
+fraction.  The quantities being checked (per-step gaps, rounding errors)
+are exact rationals, all sup norms are grid sup norms, and every
+comparison against a stage-gap bound is a theorem about the grid
+functions.
+
+A push is linear and unital on grid functions, so the intertwining
+ladder telescopes: each rung is the next one plus the pushed stage
+difference, and a constant difference passes through every later stage
+unchanged.
 
 The stage-gap series and the flip need no stage-by-stage loop: the
 series is enclosed by the table's constants, and the flip by its stage-0
@@ -22,7 +29,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -33,10 +40,12 @@ from .rationals import as_fraction
 
 DEFAULT_RESOLUTION = 2 ** 12
 
-#: The most ladder stages ``trace-sim`` runs.  The ladder pushes through
-#: about stages^2 / 2 stage maps, so its cost grows much faster in the
-#: stage count than the tabulation does in the horizon; at this cap a
-#: run costs about what ``certify`` costs at ``pipeline.MAX_HORIZON``.
+#: The most ladder stages ``trace-sim`` runs.  The synthetic ladder
+#: telescopes into two stage pushes per stage (``simulate_intertwining``),
+#: but its samples carry denominators of order stages^2 bits, about 4100
+#: bits at this cap for N = 6, so each push gets dearer as the stage count
+#: grows.  At this cap a cold run costs a quarter to a third of what
+#: ``certify`` costs at ``pipeline.MAX_HORIZON``.
 MAX_STAGES = 56
 
 
@@ -97,6 +106,8 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
     """First ``count`` points of the radical-inverse low-discrepancy sequence."""
     if base < 2:
         raise InputError(f"base must be >= 2, got {base}")
+    if count < 0:
+        raise InputError(f"point count must be >= 0, got {count}")
     out = []
     for i in range(count):
         num, denom = 0, 1
@@ -155,6 +166,21 @@ class GridFunction:
     def constant(cls, value, resolution: int):
         return cls(resolution, ((0, value), (resolution, value)))
 
+    @classmethod
+    def _from_valid_knots(cls, resolution: int, knots: tuple) -> "GridFunction":
+        """Build from knots already in form (Fraction values, indices
+        strictly increasing from 0 to ``resolution``), compressing only."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "resolution", resolution)
+        object.__setattr__(f, "knots", _compress(knots))
+        return f
+
+    @property
+    def is_constant(self) -> bool:
+        """A constant function compresses to its two end knots."""
+        knots = self.knots
+        return len(knots) == 2 and knots[0][1] == knots[1][1]
+
     @property
     def values(self) -> tuple:
         """All G + 1 samples, expanded from the knots."""
@@ -168,7 +194,9 @@ class GridFunction:
         if i1 == pos:
             return v1
         i0, v0 = knots[j - 1]
-        return v0 + (v1 - v0) * (pos - i0) / (i1 - i0)
+        return Fraction(
+            *_on_segment(i0, v0, i1, v1, pos.numerator, pos.denominator)
+        )
 
     def interpolate(self, x) -> Fraction:
         """Value at x, linear between adjacent samples."""
@@ -185,29 +213,58 @@ class GridFunction:
         m.  Sampling at 0, G and the grid points on either side of each
         such point therefore leaves every other sample collinear with its
         neighbours.
+
+        Each piece of m is written once in grid units, i -> (a i + b)/c
+        with integers a, b and c > 0, so the cut points and the knot
+        interval of each sample come from integer comparisons and each
+        sample is built as one fraction.
         """
         G = self.resolution
-        positions = [Fraction(i, G) for i, _ in self.knots]
-        cuts = set()
-        for (x0, y0), (x1, y1) in zip(m.breakpoints, m.breakpoints[1:]):
-            cuts.add(x0)
-            if y0 == y1:
-                continue
-            lo, hi = min(y0, y1), max(y0, y1)
-            start = bisect.bisect_right(positions, lo)
-            stop = bisect.bisect_left(positions, hi)
-            for p in positions[start:stop]:
-                cuts.add(x0 + (p - y0) * (x1 - x0) / (y1 - y0))
+        knots = self.knots
+        idx = [i for i, _ in knots]
+        starts = []  # first grid index of each piece
+        pieces = []  # (a, b, c) of each piece
         candidates = {0, G}
-        for x in cuts:
-            pos = x * G
-            floor = pos.numerator // pos.denominator
+        for (x0, y0), (x1, y1) in zip(m.breakpoints, m.breakpoints[1:]):
+            start = x0 * G
+            floor = start.numerator // start.denominator
             candidates.add(floor)
-            if pos != floor:
-                candidates.add(floor + 1)
-        return GridFunction(
-            G, tuple((i, self.interpolate(m(Fraction(i, G)))) for i in sorted(candidates))
-        )
+            starts.append(floor if floor == start else floor + 1)
+            candidates.add(starts[-1])
+            slope = (y1 - y0) / (x1 - x0)
+            offset = G * y0 - slope * start
+            c = lcm(slope.denominator, offset.denominator)
+            a = slope.numerator * (c // slope.denominator)
+            b = offset.numerator * (c // offset.denominator)
+            pieces.append((a, b, c))
+            if not a:
+                continue
+            # Knots strictly between G y0 and G y1 pull back to cuts
+            # (c k - b)/a strictly inside the piece.
+            lo, hi = sorted((G * y0, G * y1))
+            first = bisect.bisect_right(idx, lo.numerator // lo.denominator)
+            last = bisect.bisect_left(idx, -(-hi.numerator // hi.denominator))
+            sign = 1 if a > 0 else -1
+            for k in idx[first:last]:
+                num, den = sign * (c * k - b), sign * a
+                candidates.add(num // den)
+                candidates.add(-(-num // den))
+
+        last_knot = len(idx) - 1
+        out = []
+        for i in sorted(candidates):
+            a, b, c = pieces[bisect.bisect_right(starts, i) - 1]
+            pos = a * i + b  # the sample sits at grid position pos / c
+            j = bisect.bisect_right(idx, pos // c)
+            if j > last_knot:  # pos / c = G
+                out.append((i, knots[-1][1]))
+                continue
+            (i0, v0), (i1, v1) = knots[j - 1], knots[j]
+            if pos == i0 * c:
+                out.append((i, v0))
+                continue
+            out.append((i, Fraction(*_on_segment(i0, v0, i1, v1, pos, c))))
+        return GridFunction._from_valid_knots(G, tuple(out))
 
     def sup_norm(self) -> Fraction:
         """The grid sup: every other sample lies between two knot values."""
@@ -220,33 +277,72 @@ class GridFunction:
         return self.sub(other).sup_norm()
 
 
+def _on_segment(i0, v0, i1, v1, pos: int, c: int) -> tuple:
+    """Numerator and denominator, unreduced, of the value at grid position
+    pos / c on the segment from knot (i0, v0) to knot (i1, v1)."""
+    p0, q0 = v0.numerator, v0.denominator
+    p1, q1 = v1.numerator, v1.denominator
+    return (
+        p0 * q1 * (i1 * c - pos) + p1 * q0 * (pos - i0 * c),
+        q0 * q1 * c * (i1 - i0),
+    )
+
+
 def _compress(knots: tuple) -> tuple:
-    """Drop every knot collinear with its neighbours (exact cross-multiplication).
+    """Drop every knot collinear with its neighbours (exact cross-multiplication
+    of the values' numerators and denominators).
 
     A dropped knot lies on the line from its left neighbour to the
     incoming knot, so the knots kept before it stay non-collinear with
     that line: one look back per knot suffices.
     """
     out = []
-    for i2, v2 in knots:
+    for knot in knots:
         if len(out) >= 2:
             (i0, v0), (i1, v1) = out[-2], out[-1]
-            if (v1 - v0) * (i2 - i1) == (v2 - v1) * (i1 - i0):
+            i2, v2 = knot
+            p0, q0 = v0.numerator, v0.denominator
+            p1, q1 = v1.numerator, v1.denominator
+            p2, q2 = v2.numerator, v2.denominator
+            lhs = (p1 * q0 - p0 * q1) * q2 * (i2 - i1)
+            if lhs == (p2 * q1 - p1 * q2) * q0 * (i1 - i0):
                 out.pop()
-        out.append((i2, v2))
+        out.append(knot)
     return tuple(out)
 
 
 def _linear_combination(terms) -> GridFunction:
-    """sum of w g over the (w, g) pairs, evaluated on the union of their knots."""
+    """sum of w g over the (w, g) pairs, evaluated on the union of their knots.
+
+    Each sum is carried as an integer numerator and denominator and
+    reduced once, into one fraction per knot.
+    """
     resolution = terms[0][1].resolution
     if any(g.resolution != resolution for _, g in terms):
         raise InputError("grid functions have incompatible resolutions")
     indices = sorted({i for _, g in terms for i, _ in g.knots})
-    acc = [Fraction(0)] * len(indices)
+    nums = [0] * len(indices)
+    dens = [1] * len(indices)
     for w, g in terms:
-        acc = [a + w * g._sample(i) for a, i in zip(acc, indices)]
-    return GridFunction(resolution, tuple(zip(indices, acc)))
+        wn, wd = w.numerator, w.denominator
+        knots = g.knots
+        j = 0
+        for pos, i in enumerate(indices):
+            while knots[j][0] < i:
+                j += 1
+            i1, v1 = knots[j]
+            if i1 == i:
+                n, d = v1.numerator, v1.denominator
+            else:
+                i0, v0 = knots[j - 1]
+                n, d = _on_segment(i0, v0, i1, v1, i, 1)
+            n, d = wn * n, wd * d
+            nums[pos] = nums[pos] * d + n * dens[pos]
+            dens[pos] *= d
+    return GridFunction._from_valid_knots(
+        resolution,
+        tuple((i, Fraction(n, d)) for i, n, d in zip(indices, nums, dens)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +526,12 @@ class StageEntries:
         return sum(c for _, c in self.entries)
 
     def push(self, f: GridFunction) -> GridFunction:
-        """(1/l) sum over entries of f o entry: positive, unital, contractive."""
+        """(1/l) sum over entries of f o entry: positive, unital, contractive.
+
+        A unital average fixes constants, so a constant f comes back as is.
+        """
+        if f.is_constant:
+            return f
         l = self.total
         return _weighted_average(f, [(Fraction(c, l), m) for m, c in self.entries])
 
@@ -478,13 +579,25 @@ def simulate_intertwining(
 ) -> IntertwiningResult:
     """Finite ladder between two systems agreeing in their leading entries.
 
-    w_n pushes v from stage m to n under the first system and on to the
-    final stage under the second; consecutive ladder elements differ
-    only through the stage-n disagreement, so their grid distance is at
-    most 2 (disagreeing entries)/l(n+1) (times the norm of v).  A
-    violated bound raises ConsistencyError, since it cannot happen unless
-    the inputs break the stated preconditions; a returned result
-    therefore has every step within its bound.
+    w_n pushes v from stage m to n under the first system (u_n) and on to
+    the final stage H under the second.  Pushes are exactly linear, so
+    the ladder telescopes from w_H = u_H down:
+
+        w_n = w_(n+1) + Q_(n+1) (B_n u_n - u_(n+1)),
+
+    where B_n is stage n of the second system and Q_(n+1) pushes from
+    stage n + 1 to H under it.  The pushed difference is the step, so its
+    sup norm is the step distance.  A constant difference (the systems
+    differ only in point evaluations) passes through Q_(n+1) unchanged,
+    which makes the synthetic ladder cost two pushes per stage; a
+    general pair costs no more pushes than the direct definition.
+
+    Consecutive ladder elements differ only through the stage-n
+    disagreement, so their grid distance is at most 2 (disagreeing
+    entries)/l(n+1) (times the norm of v).  A violated bound raises
+    ConsistencyError, since it cannot happen unless the inputs break the
+    stated preconditions; a returned result therefore has every step
+    within its bound.
     """
     if not 0 <= m <= horizon:
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
@@ -503,19 +616,23 @@ def simulate_intertwining(
     us = [v]
     for n in range(m, horizon):
         us.append(system_a[n].push(us[-1]))
-    # w_n = push of u_n to the horizon under the second system.
-    ws = []
-    for n in range(m, horizon + 1):
-        w = us[n - m]
-        for j in range(n, horizon):
-            w = system_b[j].push(w)
-        ws.append(w)
+    # steps[n - m] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1)).
+    steps = []
+    for n in range(m, horizon):
+        step = system_b[n].push(us[n - m]).sub(us[n - m + 1])
+        for j in range(n + 1, horizon):
+            step = system_b[j].push(step)
+        steps.append(step)
+    ws = [us[-1]]
+    for step in reversed(steps):
+        ws.append(_linear_combination([(1, ws[-1]), (1, step)]))
+    ws.reverse()
 
     scale = max(Fraction(1), v.sup_norm())
     distances = []
     bounds = []
-    for i, delta in enumerate(deltas):
-        dist = ws[i + 1].distance(ws[i])
+    for i, (step, delta) in enumerate(zip(steps, deltas)):
+        dist = step.sup_norm()
         bound = delta * scale
         if dist > bound:
             raise ConsistencyError(

@@ -607,6 +607,27 @@ def test_trace_sim_stages_are_capped_up_front(capsys):
     assert code == 3 and out == "" and "exceeds the cap" in err
 
 
+def test_trace_sim_refuses_negative_stages_up_front(capsys, monkeypatch):
+    import ahcert.cli as cli
+
+    def no_tabulation(*args):
+        raise AssertionError("tabulated before refusing --stages")
+
+    monkeypatch.setattr(cli, "sequences", no_tabulation)
+    code, out, err = run_cli(capsys, "trace-sim", "--stages", "-1", "--grid", "64")
+    assert code == 3 and out == ""
+    assert "--stages" in err and "start" not in err
+
+
+def test_density_refuses_non_positive_point_counts(capsys):
+    for count in ("-5", "0"):
+        code, out, err = run_cli(
+            capsys, "density", "--van-der-corput", count, "--epsilon", "1/4"
+        )
+        assert code == 3 and out == ""
+        assert "--van-der-corput" in err
+
+
 def test_parser_reuse_is_stateless(tmp_path, capsys):
     from ahcert.cli import build_parser
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahcert.errors import InputError
+from ahcert.errors import ConsistencyError, InputError
 from ahcert.params import make_explicit_family, make_geometric_family, sequences
 from ahcert.ranks import q_perp_ranks
 from ahcert.tracesim import (
     GridFunction,
     PiecewiseLinearMap,
     StageEntries,
+    agreement_prefix,
     averaged_composition,
     constant_map,
     contraction_map,
@@ -26,6 +27,7 @@ from ahcert.tracesim import (
     synthetic_system_pair,
     van_der_corput,
 )
+from ahcert.tracesim import _weighted_average
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +327,115 @@ def test_intertwining_multiplicity_mismatch(table):
         simulate_intertwining(sys_a, broken, v, 0, 3)
 
 
+def direct_push(stage, f):
+    """(1/l) sum of f o entry, with no shortcut for constant f."""
+    l = stage.total
+    return _weighted_average(f, [(Fraction(c, l), m) for m, c in stage.entries])
+
+
+def direct_ladder(system_a, system_b, v, m, horizon):
+    """The ladder straight from its definition, w_n = B_(H-1)...B_n A_(n-1)...A_m v,
+    with its step distances and bounds."""
+    functions = []
+    for n in range(m, horizon + 1):
+        w = v
+        for j in range(m, n):
+            w = direct_push(system_a[j], w)
+        for j in range(n, horizon):
+            w = direct_push(system_b[j], w)
+        functions.append(w)
+    distances = [b.distance(a) for a, b in zip(functions, functions[1:])]
+    scale = max(Fraction(1), v.sup_norm())
+    bounds = [
+        Fraction(2 * (a.total - agreement_prefix(a, b)), a.total) * scale
+        for a, b in zip(system_a[m:horizon], system_b[m:horizon])
+    ]
+    return tuple(functions), tuple(distances), tuple(bounds)
+
+
+nonconstant_maps = interval_maps().filter(
+    lambda m: len({y for _, y in m.breakpoints}) > 1
+)
+
+
+@st.composite
+def stage_pairs(draw):
+    """Two stages with a shared leading block and disagreeing tails of one size."""
+    shared = [
+        (draw(interval_maps()), draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    tail = draw(st.integers(0 if shared else 1, 3))
+
+    def entries():
+        cut = draw(st.integers(0, tail))
+        own = [(draw(nonconstant_maps), c) for c in (cut, tail - cut) if c]
+        return StageEntries(tuple(shared + own))
+
+    return entries(), entries()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_ladder_matches_its_direct_definition(data):
+    G = data.draw(st.sampled_from([1, 2, 3, 64, 4096]) | st.integers(1, 4096), label="G")
+    inner = data.draw(st.lists(st.integers(1, max(1, G - 1)), max_size=3), label="knots")
+    idx = sorted({0, G} | {i for i in inner if i < G})
+    v = GridFunction(G, tuple((i, data.draw(sample_values)) for i in idx))
+    m = data.draw(st.integers(1, 2), label="m")
+    horizon = m + data.draw(st.integers(1, 3), label="stages")
+    pairs = [data.draw(stage_pairs(), label=f"stage {n}") for n in range(horizon)]
+    system_a = [a for a, _ in pairs]
+    system_b = [b for _, b in pairs]
+
+    res = simulate_intertwining(system_a, system_b, v, m, horizon)
+    functions, distances, bounds = direct_ladder(system_a, system_b, v, m, horizon)
+    assert res.functions == functions
+    assert res.step_distances == distances
+    assert res.step_bounds == bounds
+
+
+def test_synthetic_ladder_pushes_grow_linearly_in_the_stages(monkeypatch):
+    stages = 20
+    sys_a, sys_b = synthetic_system_pair(
+        sequences(make_geometric_family(6), stages), stages
+    )
+    v = GridFunction(64, ((0, 0), (64, 1)))
+    calls = []
+    resample = GridFunction.resample
+
+    def counting_resample(self, m):
+        calls.append(m)
+        return resample(self, m)
+
+    monkeypatch.setattr(GridFunction, "resample", counting_resample)
+    res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    assert len(res.functions) == stages + 1
+    assert len(calls) <= 4 * stages
+
+
+def test_step_above_its_bound_is_a_consistency_error(table, monkeypatch):
+    import ahcert.tracesim as tracesim
+
+    sys_a, sys_b = synthetic_system_pair(table, 3)
+    v = GridFunction.from_callable(lambda x: x, 32)
+    # Claim full agreement, so every bound is 0 while the systems differ.
+    monkeypatch.setattr(tracesim, "agreement_prefix", lambda a, b: a.total)
+    with pytest.raises(ConsistencyError, match="step 0: distance"):
+        simulate_intertwining(sys_a, sys_b, v, 0, 3)
+
+
+def test_push_returns_constants_unchanged_and_moves_lines():
+    stage = StageEntries(
+        ((contraction_map(Fraction(1, 4)), 3), (constant_map(Fraction(1, 2)), 1))
+    )
+    line = GridFunction(8, ((0, 0), (8, 1)))
+    # (3/4) (x/2 + 1/8) + (1/4)(1/2) = 3x/8 + 7/32
+    assert stage.push(line) == GridFunction(8, ((0, Fraction(7, 32)), (8, Fraction(19, 32))))
+    level = GridFunction.constant(Fraction(-2, 3), 8)
+    assert stage.push(level) is level
+
+
 def test_one_stage_push_positive_and_unital(table):
     stage = StageEntries(
         ((contraction_map(Fraction(1, 4)), 6), (constant_map(Fraction(1, 2)), 1))
@@ -387,6 +498,12 @@ def test_density_rejects_bad_input():
         density_check([Fraction(3, 2)], 0, Fraction(1, 4))
     with pytest.raises(InputError):
         density_check([Fraction(1, 2)], 0, Fraction(0))
+
+
+def test_van_der_corput_refuses_a_negative_count():
+    assert van_der_corput(0) == []
+    with pytest.raises(InputError, match="count"):
+        van_der_corput(-1)
 
 
 def test_van_der_corput_first_points():
