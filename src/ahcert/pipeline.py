@@ -1,19 +1,27 @@
-"""End-to-end certification pipeline and JSON report assembly.
+"""End-to-end certification pipeline and the one JSON report format.
 
-A report is a plain JSON object: every rational is rendered "p/q" in
-lowest terms, structural integers stay JSON integers, and key order is
-canonical, so identical configurations produce byte-identical reports.
+Every report is a plain JSON object built by ``report`` from sections
+rendered by ``to_json``, and written by ``render_report`` with canonical
+key order, so identical configurations produce byte-identical reports.
+The rendering rule: every rational is "p/q" in lowest terms; indices and
+counts (horizons, stages, bits, generator counts) are JSON integers; the
+ranks ``N1``/``N2`` and the entries of the sequences d, k, l, r, s, t are
+"p/1".
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from fractions import Fraction
+from operator import attrgetter, methodcaller
 from typing import Optional
 
 from . import rcbounds, tracesim
 from .errors import InconclusiveAtHorizon, InputError
 from .params import (
+    ConstraintEntry,
     ConstraintReport,
     ParamFamily,
     SequenceTable,
@@ -45,11 +53,28 @@ HORIZON_LIMITED_REASON = (
     "nothing is certified beyond the tabulated stages"
 )
 
-_VERDICT_EXIT = {
+#: The one map from a verdict to the process exit code.
+VERDICT_EXIT = {
     VERDICT_CERTIFIED: EXIT_CERTIFIED,
     VERDICT_REFUTED: EXIT_REFUTED,
     VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
+
+CHAIN = (
+    "family constraints evaluated exactly, with certified one-sided "
+    "bounds standing in for the limit constants",
+    "distinguished corner bounded above by 1/(1 - 2 omega) through "
+    "the limiting dimension-to-rank ratio",
+    "complementary corner bounded below by rho through the "
+    "rank-threshold and trace-gap certificate",
+    "swap commutes with every connecting matrix and exchanges the "
+    "corner classes at every stage",
+    "stage-gap series certified summable, so the merged and split "
+    "systems share their limiting trace data",
+    "an algebra automorphism inducing the flip would carry one "
+    "corner onto the other and force equal radii of comparison, "
+    "contradicting the separation above",
+)
 
 ASSUMPTIONS = (
     "unitary cancellation of projections with equal class over the "
@@ -61,121 +86,104 @@ ASSUMPTIONS = (
 )
 
 
-def q(value) -> str:
-    return format_rational(value)
+# ---------------------------------------------------------------------------
+# Rendering
 
 
-def jsonable_checks(checks) -> list:
-    """A link check's rhs is the name of its exact side, kept as text."""
-    return [
-        {
-            "name": c.name,
-            "lhs": q(c.lhs),
-            "rel": c.rel,
-            "rhs": c.rhs if isinstance(c.rhs, str) else q(c.rhs),
-            "holds": c.holds,
-        }
-        for c in checks
-    ]
+def to_json(value):
+    """The JSON value of a result: a ``Fraction`` becomes "p/q"; ``str``,
+    ``int``, ``bool`` and ``None`` stay; lists and tuples become lists and
+    dicts dicts; a dataclass becomes its fields, less those declared
+    ``compare=False``, as adjusted by ``_REPORT_KEYS``.  Dispatch is on the
+    exact type and each class's keys are built once (``_report_keys``)."""
+    return _RENDERERS.get(type(value), _render_fields)(value)
 
 
-def jsonable_constraints(report: ConstraintReport) -> dict:
-    return {
-        "all_passed": report.all_passed,
-        "exactly_refuted": report.exactly_refuted,
-        "entries": [
-            {
-                "name": e.name,
-                "status": e.status,
-                "holds": e.holds,
-                "evidence": e.evidence,
-                "note": e.note,
-                "checks": jsonable_checks(e.checks),
-            }
-            for e in report.entries
-        ],
-    }
+def _render_fields(value) -> dict:
+    return {key: to_json(get(value)) for key, get in _report_keys(type(value))}
 
 
-def jsonable_table(table: SequenceTable, include_sequences: bool = False) -> dict:
+def _render_list(value) -> list:
+    return [to_json(x) for x in value]
+
+
+_RENDERERS = {
+    Fraction: format_rational,
+    list: _render_list,
+    tuple: _render_list,
+    dict: lambda value: {key: to_json(x) for key, x in value.items()},
+    **dict.fromkeys((str, int, bool, type(None)), lambda value: value),
+}
+
+#: Keys a report adds to, renames in or drops from (None) a dataclass's
+#: fields, by class.
+_REPORT_KEYS = {
+    ConstraintReport: {
+        "table": None,
+        "all_passed": attrgetter("all_passed"),
+        "exactly_refuted": attrgetter("exactly_refuted"),
+    },
+    ConstraintEntry: {"holds": attrgetter("holds")},
+    rcbounds.RcLowerCertificate: {
+        "kappa_lb": None,
+        "kappa_lower_bound": attrgetter("kappa_lb"),
+        "N1": lambda cert: Fraction(cert.N1),
+        "N2": lambda cert: Fraction(cert.N2),
+        "reverified": methodcaller("reverify"),
+    },
+    rcbounds.RcUpperResult: {"reverified": methodcaller("reverify")},
+    tracesim.GapSeries: {"summable_certified": attrgetter("summable")},
+}
+
+
+@functools.cache
+def _report_keys(cls) -> tuple:
+    """The (key, getter) pairs of a dataclass's report, built once per class."""
+    if not is_dataclass(cls):
+        raise TypeError(f"no JSON rendering for {cls.__name__}")
+    keys = {f.name: attrgetter(f.name) for f in fields(cls) if f.compare}
+    keys.update(_REPORT_KEYS.get(cls, {}))
+    return tuple((key, get) for key, get in keys.items() if get is not None)
+
+
+def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
     """The constants are the table's witnesses, each with its link check."""
     w = table.witness
     out = {
         "horizon": table.horizon,
-        "omega": q(table.omega),
-        "omega_prime_partial_sum": q(w.omega_prime_partial),
-        "kappa_upper_envelope": q(w.kappa_ub),
+        "omega": table.omega,
+        "omega_prime_partial_sum": w.omega_prime_partial,
+        "kappa_upper_envelope": w.kappa_ub,
         "horizon_limited": table.horizon_limited,
         "witness_bits": table.bits,
-        "link_checks": jsonable_checks(table.links),
+        "link_checks": table.links,
     }
     if table.horizon_limited:
-        out["kappa_lower_bound_horizon_only"] = q(w.kappa_lb)
-        out["omega_prime_upper_bound_horizon_only"] = q(w.omega_prime_ub)
+        out["kappa_lower_bound_horizon_only"] = w.kappa_lb
+        out["omega_prime_upper_bound_horizon_only"] = w.omega_prime_ub
     else:
-        out["kappa_lower_bound"] = q(w.kappa_lb)
-        out["omega_prime_upper_bound"] = q(w.omega_prime_ub)
+        out["kappa_lower_bound"] = w.kappa_lb
+        out["omega_prime_upper_bound"] = w.omega_prime_ub
         out["kappa_lower_bound_vacuous"] = table.kappa_lb_vacuous
     if include_sequences:
         for name in ("d", "k", "l", "r", "s", "t"):
-            out[name] = [q(x) for x in getattr(table, name)]
-    return out
+            out[name] = sequence_json(getattr(table, name))
+    return to_json(out)
 
 
-def jsonable_rc_lower(cert: rcbounds.RcLowerCertificate) -> dict:
-    return {
-        "rho": q(cert.rho),
-        "delta": q(cert.delta),
-        "epsilon": q(cert.epsilon),
-        "n0": cert.n0,
-        "n": cert.n,
-        "N1": q(cert.N1),
-        "N2": q(cert.N2),
-        "endpoint_lambda1": q(cert.endpoint_lambda1),
-        "endpoint_lambda0": q(cert.endpoint_lambda0),
-        "kappa_lower_bound": q(cert.kappa_lb),
-        "omega": q(cert.omega),
-        "reverified": cert.reverify(),
-        "checks": jsonable_checks(cert.checks),
-    }
+def sequence_json(values) -> list:
+    """Sequence entries, integers included, rendered "p/q"."""
+    return [format_rational(x) for x in values]
 
 
-def jsonable_rc_upper(result: rcbounds.RcUpperResult) -> dict:
-    return {
-        "certified_limit_bound": q(result.certified_limit_bound),
-        "reverified": result.reverify(),
-        "checks": jsonable_checks(result.checks),
-    }
-
-
-def jsonable_separation(report: rcbounds.SeparationReport) -> dict:
-    out = {
-        "upper_bound": q(report.upper_bound),
-        "lower_target": q(report.lower_target),
-        "separated": report.separated,
-        "status": report.status,
-        "advice": report.advice,
-        "checks": jsonable_checks(report.checks),
-    }
-    out["rho"] = q(report.rho) if report.rho is not None else None
-    out["certificate"] = (
-        jsonable_rc_lower(report.certificate) if report.certificate else None
-    )
-    return out
-
-
-def jsonable_flip(report: tracesim.FlipReport) -> dict:
-    return {"checks": jsonable_checks(report.checks)}
-
-
-def jsonable_gap_series(series: tracesim.GapSeries) -> dict:
-    return {
-        "partial_sum": q(series.partial_sum),
-        "total_bound": q(series.total_bound) if series.total_bound is not None else None,
-        "summable_certified": series.summable,
-        "horizon_limited": series.horizon_limited,
-        "checks": jsonable_checks(series.checks),
-    }
+def report(cfg: dict, verdict: str, **sections) -> dict:
+    """A subcommand's report: its rendered sections, the schema version,
+    the config echo and the verdict."""
+    payload = {key: to_json(value) for key, value in sections.items()}
+    payload["schema_version"] = SCHEMA_VERSION
+    payload["config"] = config_echo(cfg)
+    payload["verdict"] = verdict
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +202,22 @@ DEFAULT_CONFIG = {
     "grid": tracesim.DEFAULT_RESOLUTION,
 }
 
+#: The keys a family spec file may set, and with them every key a config
+#: may set; any other key is refused, not silently ignored.
+SPEC_KEYS = ("d", "k", "tail")
+CONFIG_KEYS = ("family", "N", "horizon", "rho", "grid", "carrier", "out") + SPEC_KEYS
+
+
+def refuse_unknown_keys(what: str, obj: dict, accepted: tuple) -> None:
+    for key in obj:
+        if key not in accepted:
+            raise InputError(
+                f"unknown {what} key {key!r}; accepted keys: {', '.join(accepted)}"
+            )
+
 
 def resolve_config(config: Optional[dict]) -> dict:
+    refuse_unknown_keys("config", config or {}, CONFIG_KEYS)
     merged = dict(DEFAULT_CONFIG)
     for key, value in (config or {}).items():
         if value is not None:
@@ -215,6 +237,11 @@ def resolve_config(config: Optional[dict]) -> dict:
     check_horizon(merged["horizon"])
     if merged["rho"] is not None:
         merged["rho"] = format_rational(as_fraction(merged["rho"]))
+    if merged["family"] == "explicit":
+        if merged.get("d") is None or merged.get("k") is None:
+            raise InputError("explicit family needs 'd' and 'k' lists")
+        merged["d"] = _integer_list("d", merged["d"])
+        merged["k"] = _integer_list("k", merged["k"])
     return merged
 
 
@@ -225,14 +252,10 @@ def check_horizon(horizon: int) -> None:
 
 
 def build_family(config: dict) -> ParamFamily:
+    """The family of a config resolved by ``resolve_config``."""
     if config["family"] == "geometric":
         return make_geometric_family(config["N"])
-    d = config.get("d")
-    k = config.get("k")
-    if d is None or k is None:
-        raise InputError("explicit family needs 'd' and 'k' lists")
-    d = _integer_list("d", d)
-    k = _integer_list("k", k)
+    d, k = config["d"], config["k"]
     # Validate d and k before a majorant divides by l(j).
     family = make_explicit_family(d, k)
     tail_spec = config.get("tail") or {"type": "none"}
@@ -281,8 +304,8 @@ def config_echo(config: dict) -> dict:
     if config["family"] == "geometric":
         echo["N"] = config["N"]
     else:
-        echo["d"] = [int(x) for x in config["d"]]
-        echo["k"] = [int(x) for x in config["k"]]
+        echo["d"] = config["d"]
+        echo["k"] = config["k"]
         echo["tail"] = config.get("tail") or {"type": "none"}
     return echo
 
@@ -306,48 +329,23 @@ class TheoremReport:
 
     @property
     def exit_code(self) -> int:
-        return _VERDICT_EXIT[self.verdict]
+        return VERDICT_EXIT[self.verdict]
 
     def to_jsonable(self) -> dict:
-        chain = [
-            "family constraints evaluated exactly, with certified one-sided "
-            "bounds standing in for the limit constants",
-            "distinguished corner bounded above by 1/(1 - 2 omega) through "
-            "the limiting dimension-to-rank ratio",
-            "complementary corner bounded below by rho through the "
-            "rank-threshold and trace-gap certificate",
-            "swap commutes with every connecting matrix and exchanges the "
-            "corner classes at every stage",
-            "stage-gap series certified summable, so the merged and split "
-            "systems share their limiting trace data",
-            "an algebra automorphism inducing the flip would carry one "
-            "corner onto the other and force equal radii of comparison, "
-            "contradicting the separation above",
-        ]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_echo(self.config),
-            "family": _family_description(self.family),
-            "constants": jsonable_table(self.table),
-            "constraints": jsonable_constraints(self.constraints),
-            "rc_upper": jsonable_rc_upper(self.rc_upper) if self.rc_upper else None,
-            "separation": (
-                jsonable_separation(self.separation) if self.separation else None
-            ),
-            "flip": jsonable_flip(self.flip),
-            "gap_series": jsonable_gap_series(self.gaps),
-            "assumptions": list(ASSUMPTIONS),
-            "chain": chain,
-            "notes": list(self.notes),
-            "verdict": self.verdict,
-        }
-
-
-def _family_description(family: ParamFamily) -> dict:
-    desc = dict(family.description)
-    if "telescoped_from" in desc:
-        desc["telescoped_from"] = dict(desc["telescoped_from"])
-    return desc
+        return report(
+            self.config,
+            self.verdict,
+            family=self.family.description,
+            constants=table_json(self.table),
+            constraints=self.constraints,
+            rc_upper=self.rc_upper,
+            separation=self.separation,
+            flip=self.flip,
+            gap_series=self.gaps,
+            assumptions=ASSUMPTIONS,
+            chain=CHAIN,
+            notes=self.notes,
+        )
 
 
 def certify_theorem(config: Optional[dict] = None) -> TheoremReport:

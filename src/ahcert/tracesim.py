@@ -48,6 +48,12 @@ DEFAULT_RESOLUTION = 2 ** 12
 #: ``certify`` costs at ``pipeline.MAX_HORIZON``.
 MAX_STAGES = 56
 
+#: The most points ``density --van-der-corput`` generates.  Every point is
+#: a ``Fraction`` (about 37 us and 140 bytes each) that ``density_check``
+#: then sorts; a cold run at this cap takes about a second, less than
+#: ``certify`` at ``pipeline.MAX_HORIZON``.
+MAX_POINTS = 2 ** 15
+
 
 # ---------------------------------------------------------------------------
 # Interval maps

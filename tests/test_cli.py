@@ -649,3 +649,66 @@ def test_parser_reuse_is_stateless(tmp_path, capsys):
     code, report = run_json(capsys, "chern", "--k", "3")
     assert code == 0 and len(report["embedding_ranks"]) == 4
     assert build_parser() is build_parser()
+
+
+def test_density_refuses_point_counts_above_the_cap(capsys):
+    from ahcert.tracesim import MAX_POINTS
+
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--van-der-corput", "100000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "--van-der-corput" in err and str(MAX_POINTS) in err
+    code, _, err = run_cli(capsys, "density", "--van-der-corput", str(MAX_POINTS + 1))
+    assert code == 3 and "exceeds the cap" in err
+
+
+def test_unknown_config_keys_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 6, "horizn": 3}))
+    for command in ("certify", "params", "rc-upper", "chern"):
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 3 and out == "", command
+        assert "'horizn'" in err, command
+
+
+def test_unknown_spec_keys_are_refused(tmp_path, capsys):
+    spec = {"d": [1, 6, 36], "k": [0, 1, 1], "tial": {"type": "none"}}
+    code, out, err = _params_on_spec(tmp_path, capsys, spec)
+    assert code == 3 and out == "" and "'tial'" in err
+    # A spec sets the family only: a config key in it is refused too.
+    spec = {"d": [1, 6, 36], "k": [0, 1, 1], "horizon": 2}
+    code, out, err = _params_on_spec(tmp_path, capsys, spec)
+    assert code == 3 and out == "" and "'horizon'" in err
+
+
+def test_every_accepted_config_key_runs(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "family": "explicit", "N": 6, "horizon": 3, "rho": "3/2", "grid": 64,
+        "carrier": "exact", "d": [1, 6, 36, 216], "k": [0, 1, 1, 1],
+        "tail": {"type": "geometric", "N": 6}, "out": str(tmp_path / "r.json"),
+    }))
+    code, out, err = run_cli(capsys, "params", "--config", str(cfg))
+    assert code == 0 and err == "" and "r.json" in out
+
+
+def test_spec_d_and_k_are_validated_without_a_family_build(tmp_path, capsys):
+    # chern and density never build the family, so the lists are checked
+    # when the config is resolved, not coerced when it is echoed.
+    path = tmp_path / "family.json"
+    for spec, shown in (({"d": ["a"], "k": [0]}, "'a'"),
+                        ({"d": [1.5, 6], "k": [0, 1]}, "1.5"),
+                        ({"d": [1, 6], "k": [0, 1.0]}, "1.0")):
+        path.write_text(json.dumps(spec))
+        for argv in (("chern", "--k", "2"), ("density", "--van-der-corput", "16")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+            assert code == 3 and out == "", (argv, spec)
+            assert "must hold integers" in err and shown in err, (argv, spec)
+
+
+def test_explicit_config_without_lists_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "explicit", "horizon": 3}))
+    code, out, err = run_cli(capsys, "chern", "--config", str(cfg))
+    assert code == 3 and out == "" and "needs 'd' and 'k'" in err
