@@ -33,16 +33,31 @@ taken from the input (``starting_bits``); a caller left undecided by
 the rounding doubles the bits, and the exact values come last
 (``first_decided``), so no verdict is lost to rounding.
 
+The bounds read only four horizon values, and ``sequences`` computes
+them without tabulating a stage: s(H) is a balanced product of the d(j);
+r(H) and the numerator P of sum_{j=2..H} k(j)/l(j) = P/r(H) come from
+one binary-splitting sum, whose denominator is the product of the l(j);
+and the t recursion gives r(n+1) - 2 t(n+1) = (d - k)(r(n) - 2 t(n)),
+so
+
+    t(H) = (r(H) - l(0) prod_{1<=j<=H} (d(j) - k(j))) / 2.
+
+Each is a product tree over H integers, so the cost is about that of
+multiplying two H^2-bit integers, times log H (Haible and Papanikolaou,
+"Fast multiprecision evaluation of series of rational numbers", 1998).
+The stages r(n), s(n), t(n) themselves are tabulated lazily, by the
+recursions, only as far as a caller reads them (``SequenceTable.stage``).
+
 All arithmetic in this module is exact; there is no floating point.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
 from .rationals import as_fraction, brief
@@ -178,8 +193,12 @@ def evaluation_fraction(j: int, d_j: int, k_j: int) -> Fraction:
     """k(j)/l(j) for stage j, refusing a stage with no summands."""
     l_j = d_j + k_j
     if l_j == 0:
-        raise InputError(f"l({j}) = 0: stage {j} has no summands")
+        raise _no_summands(j)
     return Fraction(k_j, l_j)
+
+
+def _no_summands(j: int) -> InputError:
+    return InputError(f"l({j}) = 0: stage {j} has no summands")
 
 
 def geometric_ratio_majorant(d: Sequence[int], k: Sequence[int], N: int):
@@ -303,9 +322,22 @@ class Witnesses:
     tau_ub: Fraction
 
 
+class Stage(NamedTuple):
+    """r(n), s(n), t(n) at one stage n."""
+
+    r: int
+    s: int
+    t: int
+
+
 @dataclass(frozen=True)
 class SequenceTable:
     """Exact values of d, k, l, r, s, t up to a horizon, plus constants.
+
+    d, k and l are tabulated up front.  The stages r(n), s(n), t(n) are
+    tabulated by ``stage(n)``, only as far as a caller reads them; the
+    prefix read so far is shared with every ``refined()`` table, and the
+    whole tuples ``r``, ``s``, ``t`` tabulate every stage on first read.
 
     The certified constants are
 
@@ -332,9 +364,6 @@ class SequenceTable:
     d: tuple
     k: tuple
     l: tuple
-    r: tuple
-    s: tuple
-    t: tuple
     omega: Fraction
     kappa_lb_vacuous: bool
     horizon_limited: bool
@@ -342,6 +371,31 @@ class SequenceTable:
     witness: Witnesses
     links: tuple
     enclosures: tuple = field(repr=False, compare=False)
+    stages: list = field(repr=False, compare=False)
+
+    def stage(self, n: int) -> Stage:
+        """r(n), s(n), t(n), extending the tabulated prefix up to n."""
+        if not 0 <= n <= self.horizon:
+            raise InputError(f"stage {n} outside horizon {self.horizon}")
+        stages = self.stages
+        while len(stages) <= n:
+            j = len(stages)
+            r, s, t = stages[-1]
+            d, k = self.d[j], self.k[j]
+            stages.append(Stage(r * (d + k), s * d, d * t + k * (r - t)))
+        return stages[n]
+
+    @cached_property
+    def r(self) -> tuple:
+        return tuple(self.stage(n).r for n in range(self.horizon + 1))
+
+    @cached_property
+    def s(self) -> tuple:
+        return tuple(self.stage(n).s for n in range(self.horizon + 1))
+
+    @cached_property
+    def t(self) -> tuple:
+        return tuple(self.stage(n).t for n in range(self.horizon + 1))
 
     @property
     def exact(self) -> bool:
@@ -411,11 +465,13 @@ def starting_bits(family: ParamFamily) -> int:
 
 
 def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
-    """Tabulate all six sequences exactly and round the certified constants.
+    """Compute the horizon values and round the certified constants.
 
     This is the only place where horizon^2-bit integers are combined: the
-    constants are kept as unreduced integer ratios (``Enclosure``) and
-    their witnesses are read off by floor division.
+    constants are kept as unreduced integer ratios (``Enclosure``) of
+    r(H), s(H), t(H) and P, each computed by a product tree (see the
+    module docstring), and their witnesses are read off by floor division.
+    No stage is tabulated here; ``SequenceTable.stage`` does that on read.
     """
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
@@ -423,18 +479,15 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
     d = [family.d(n) for n in range(H + 1)]
     k = [family.k(n) for n in range(H + 1)]
     l = [dn + kn for dn, kn in zip(d, k)]
-    for j in range(1, H + 1):
-        evaluation_fraction(j, d[j], k[j])  # refuses l(j) = 0
-    r = list(itertools.accumulate(l, lambda acc, x: acc * x))
-    s = list(itertools.accumulate(d, lambda acc, x: acc * x))
-    t = [0]
-    for n in range(H):
-        t.append(d[n + 1] * t[n] + k[n + 1] * (r[n] - t[n]))
-
-    # sum_{j=2..n} k(j)/l(j) = P/r(n), accumulated over the r(n) above.
-    P = 0
-    for j in range(2, H + 1):
-        P = P * l[j] + k[j] * r[j - 1]
+    if 0 in l[1:]:
+        raise _no_summands(l.index(0, 1))
+    # sum_{j=2..H} k(j)/l(j) = P/r(H), summed over the product of the l(j).
+    head = l[0] * l[1]
+    Q, T = _split_sum(k, l, 2, H + 1)
+    rH, P = head * Q, head * T
+    sH = _product(d, 0, H + 1)
+    # r(n) - 2 t(n) = l(0) prod_{1<=j<=n} (d(j) - k(j)), from the t recursion.
+    tH = (rH - l[0] * _product([dj - kj for dj, kj in zip(d, k)], 1, H + 1)) // 2
     sum_side = f"sum_{{j=2..{H}}} k(j)/l(j)"
 
     if family.horizon_limited:
@@ -452,14 +505,14 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
         Enclosure(
             "kappa_lb",
             ratio if family.horizon_limited else f"{ratio} (1 - tail({H}))",
-            s[H] * (b - a), r[H] * b, round_up=False,
+            sH * (b - a), rH * b, round_up=False,
         ),
-        Enclosure("kappa_ub", ratio, s[H], r[H], round_up=True),
-        Enclosure("omega_prime_ub", sum_side + tail_side, P * b + a * r[H], r[H] * b,
+        Enclosure("kappa_ub", ratio, sH, rH, round_up=True),
+        Enclosure("omega_prime_ub", sum_side + tail_side, P * b + a * rH, rH * b,
                   round_up=True),
-        Enclosure("omega_prime_partial", sum_side, P, r[H], round_up=False),
-        Enclosure("tau_ub", f"t({H})/r({H})" + tail_side, t[H] * b + a * r[H],
-                  r[H] * b, round_up=True),
+        Enclosure("omega_prime_partial", sum_side, P, rH, round_up=False),
+        Enclosure("tau_ub", f"t({H})/r({H})" + tail_side, tH * b + a * rH,
+                  rH * b, round_up=True),
     )
     return SequenceTable(
         family=family,
@@ -467,15 +520,39 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
         d=tuple(d),
         k=tuple(k),
         l=tuple(l),
-        r=tuple(r),
-        s=tuple(s),
-        t=tuple(t),
         omega=Fraction(k[1], l[1]),
         kappa_lb_vacuous=vacuous,
         horizon_limited=family.horizon_limited,
         enclosures=enclosures,
+        stages=[Stage(l[0], d[0], 0)],
         **_rounded(enclosures, starting_bits(family)),
     )
+
+
+def _product(values: list, lo: int, hi: int) -> int:
+    """prod values[lo:hi], by a balanced product tree."""
+    if hi - lo <= _LEAF:
+        return math.prod(values[lo:hi])
+    mid = (lo + hi) // 2
+    return _product(values, lo, mid) * _product(values, mid, hi)
+
+
+def _split_sum(k: list, l: list, lo: int, hi: int) -> tuple:
+    """(Q, T) with Q = prod l[lo:hi] and T/Q = sum_{lo<=j<hi} k(j)/l(j),
+    by binary splitting: T = sum_j k(j) Q/l(j), with no division."""
+    if hi - lo <= _LEAF:
+        Q, T = 1, 0
+        for j in range(lo, hi):
+            Q, T = Q * l[j], T * l[j] + k[j] * Q
+        return Q, T
+    mid = (lo + hi) // 2
+    Q1, T1 = _split_sum(k, l, lo, mid)
+    Q2, T2 = _split_sum(k, l, mid, hi)
+    return Q1 * Q2, T1 * Q2 + T2 * Q1
+
+
+#: Ranges this short are multiplied out in order: their factors are small.
+_LEAF = 8
 
 
 def first_decided(table: SequenceTable, attempt: Callable, decided=lambda result: True):

@@ -190,8 +190,10 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 # Configuration
 
 
-#: Largest horizon accepted, refused up front (exit 3).  Tabulation costs
-#: grow like H^3 in bit operations; see README for the timings behind it.
+#: Largest horizon accepted, refused up front (exit 3).  The horizon values
+#: are products of H integers of up to about H log2 N bits each, so about
+#: M(H^2) log H bit operations (M(n): one n-bit multiplication); see README
+#: for the timings behind the cap.
 MAX_HORIZON = 640
 
 DEFAULT_CONFIG = {
@@ -206,6 +208,13 @@ DEFAULT_CONFIG = {
 #: may set; any other key is refused, not silently ignored.
 SPEC_KEYS = ("d", "k", "tail")
 CONFIG_KEYS = ("family", "N", "horizon", "rho", "grid", "carrier", "out") + SPEC_KEYS
+
+#: The keys a spec's ``tail`` object may set, by majorant type.
+TAIL_KEYS = {
+    "none": ("type",),
+    "geometric": ("type", "N"),
+    "table": ("type", "values"),
+}
 
 
 def refuse_unknown_keys(what: str, obj: dict, accepted: tuple) -> None:
@@ -242,6 +251,14 @@ def resolve_config(config: Optional[dict]) -> dict:
             raise InputError("explicit family needs 'd' and 'k' lists")
         merged["d"] = _integer_list("d", merged["d"])
         merged["k"] = _integer_list("k", merged["k"])
+        _check_tail(merged.get("tail"))
+    else:
+        # A geometric family reads no spec key: refuse one, never ignore it.
+        for key in SPEC_KEYS:
+            if key in merged:
+                raise InputError(
+                    f"config key {key!r} needs the explicit family, not {merged['family']!r}"
+                )
     return merged
 
 
@@ -258,9 +275,7 @@ def build_family(config: dict) -> ParamFamily:
     d, k = config["d"], config["k"]
     # Validate d and k before a majorant divides by l(j).
     family = make_explicit_family(d, k)
-    tail_spec = config.get("tail") or {"type": "none"}
-    if not isinstance(tail_spec, dict):
-        raise InputError(f"'tail' must be a JSON object, got {tail_spec!r}")
+    tail_spec = config.get("tail") or {}
     tail_type = tail_spec.get("type", "none")
     if tail_type == "none":
         return family
@@ -269,14 +284,25 @@ def build_family(config: dict) -> ParamFamily:
         if not _is_integer(N):
             raise InputError(f"geometric tail needs an integer 'N', got {N!r}")
         majorant = geometric_ratio_majorant(d, k, N)
-    elif tail_type == "table":
+    else:
         values = tail_spec.get("values")
         if not isinstance(values, list):
             raise InputError(f"table tail needs a list 'values', got {values!r}")
         majorant = table_majorant(d, k, values)
-    else:
-        raise InputError(f"unknown tail majorant type {tail_type!r}")
     return replace(family, tail_majorant=majorant)
+
+
+def _check_tail(tail) -> None:
+    """A spec's tail: absent, or a JSON object of a known majorant type
+    that sets only that type's keys (``TAIL_KEYS``)."""
+    if tail is None:
+        return
+    if not isinstance(tail, dict):
+        raise InputError(f"'tail' must be a JSON object, got {tail!r}")
+    tail_type = tail.get("type", "none")
+    if not isinstance(tail_type, str) or tail_type not in TAIL_KEYS:
+        raise InputError(f"unknown tail majorant type {tail_type!r}")
+    refuse_unknown_keys(f"{tail_type!r} tail", tail, TAIL_KEYS[tail_type])
 
 
 def _is_integer(x) -> bool:

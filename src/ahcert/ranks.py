@@ -117,25 +117,13 @@ def q_class(table: SequenceTable, n: int) -> K0Class:
 
 def q_perp_ranks(table: SequenceTable, n: int) -> RankState:
     """Componentwise ranks (t(n), r(n) - t(n)) of the complementary corner."""
-    if n < 0 or n > table.horizon:
-        raise InputError(f"stage {n} outside horizon {table.horizon}")
-    return RankState(
-        stage=n,
-        x_rank=table.t[n],
-        y_rank=table.r[n] - table.t[n],
-        ambient=table.r[n],
-    )
+    r, _, t = table.stage(n)
+    return RankState(stage=n, x_rank=t, y_rank=r - t, ambient=r)
 
 
 def q_ranks(table: SequenceTable, n: int) -> RankState:
-    if n < 0 or n > table.horizon:
-        raise InputError(f"stage {n} outside horizon {table.horizon}")
-    return RankState(
-        stage=n,
-        x_rank=table.r[n] - table.t[n],
-        y_rank=table.t[n],
-        ambient=table.r[n],
-    )
+    r, _, t = table.stage(n)
+    return RankState(stage=n, x_rank=r - t, y_rank=t, ambient=r)
 
 
 def initial_bott_shape() -> BottShape:
@@ -160,8 +148,8 @@ def push_bott(shape: BottShape, table: SequenceTable) -> BottShape:
     if n + 1 > table.horizon:
         raise InputError(f"stage {n} is the last tabulated stage")
     d, k = table.d[n + 1], table.k[n + 1]
-    r, s, t = table.r[n], table.s[n], table.t[n]
-    r1, s1, t1 = table.r[n + 1], table.s[n + 1], table.t[n + 1]
+    r, s, t = table.stage(n)
+    r1, s1, t1 = table.stage(n + 1)
 
     if d * (r - s - t) + k * t != r1 - s1 - t1:
         raise ConsistencyError(f"x-constant identity fails at stage {n}")
@@ -186,9 +174,7 @@ def cuntz_threshold(table: SequenceTable, n: int) -> int:
     trivial bundle of rank below twice its own (see the cohomology-ring
     module for the obstruction itself).
     """
-    if n < 0 or n > table.horizon:
-        raise InputError(f"stage {n} outside horizon {table.horizon}")
-    return 2 * table.s[n]
+    return 2 * table.stage(n).s
 
 
 def stage_layout(table: SequenceTable, n: int, system: str = MERGED) -> StageMapLayout:

@@ -231,7 +231,8 @@ def certify_rc_lower(
     flat = kappa_lb / (1 - epsilon)
     n0 = None
     for cand in range(1, horizon + 1):
-        if flat.numerator * table.r[cand] > table.s[cand] * flat.denominator:
+        at = table.stage(cand)
+        if flat.numerator * at.r > at.s * flat.denominator:
             n0 = cand
             break
     if n0 is None:
@@ -243,7 +244,7 @@ def certify_rc_lower(
             f"kappa_lb > (1-eps) s({n0})/r({n0})",
             kappa_lb,
             ">",
-            (1 - epsilon) * Fraction(table.s[n0], table.r[n0]),
+            (1 - epsilon) * Fraction(at.s, at.r),
         )
     )
 
@@ -252,15 +253,14 @@ def certify_rc_lower(
 
     n = None
     for cand in range(n0, horizon + 1):
-        if beta * window_gap.denominator < window_gap.numerator * table.r[cand]:
+        if beta * window_gap.denominator < window_gap.numerator * table.stage(cand).r:
             n = cand
             break
     if n is None:
         raise InconclusiveAtHorizon(
             f"no stage <= {horizon} makes the window wider than beta = {beta}"
         )
-    rn = table.r[n]
-    tn = table.t[n]
+    rn, _, tn = table.stage(n)
     checks.append(check(f"beta/r({n}) < window gap", Fraction(beta, rn), "<", window_gap))
 
     # Least multiple of beta strictly above the window's lower edge.
@@ -356,12 +356,12 @@ def certify_rc_global_lower(
     gap = 2 * kappa_lb - 1 - rho
     n = None
     for cand in range(1, horizon + 1):
-        if gap.denominator < gap.numerator * table.r[cand]:
+        if gap.denominator < gap.numerator * table.stage(cand).r:
             n = cand
             break
     if n is None:
         raise InconclusiveAtHorizon(f"no stage <= {horizon} with 1/r(n) < {brief(gap)}")
-    rn = table.r[n]
+    rn = table.stage(n).r
     lo = (rho + 1) * rn
     M = lo.numerator // lo.denominator + 1
     checks = [

@@ -140,8 +140,9 @@ def telescope(family: ParamFamily, nu: Sequence[int], horizon: int) -> Telescope
 
     checks = []
     for m in range(new_horizon + 1):
-        checks.append(check(f"r({m}) == r~(nu({m}))", new.r[m], "==", old.r[nu[m]]))
-        checks.append(check(f"s({m}) == s~(nu({m}))", new.s[m], "==", old.s[nu[m]]))
+        at, was = new.stage(m), old.stage(nu[m])
+        checks.append(check(f"r({m}) == r~(nu({m}))", at.r, "==", was.r))
+        checks.append(check(f"s({m}) == s~(nu({m}))", at.s, "==", was.s))
     checks.append(check("omega preserved", new.omega, "==", old.omega))
 
     # Blockwise domination of evaluation-fraction partial sums.

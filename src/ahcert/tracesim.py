@@ -714,7 +714,7 @@ def flip_compatibility(table: SequenceTable) -> FlipReport:
     q0 = K0Class(0, 1, 0)
     perp0 = q_perp_ranks(table, 0)
     q1 = push_k0(table, q0)
-    r1, t1 = table.r[1], table.t[1]
+    r1, _, t1 = table.stage(1)
     step = (
         "[q_n] = (r(n) - t(n), t(n)) for every n: "
         "k(r - t) + d t = t(n+1) and (d + k) r - t(n+1) = r(n+1) - t(n+1), "

@@ -682,6 +682,47 @@ def test_unknown_spec_keys_are_refused(tmp_path, capsys):
     assert code == 3 and out == "" and "'horizon'" in err
 
 
+def test_unknown_tail_keys_are_refused(tmp_path, capsys):
+    # A misspelt type used to drop the majorant: InconclusiveAtHorizon, exit 2.
+    spec = {"d": [1, 6, 36, 216], "k": [0, 1, 1, 1],
+            "tail": {"tpye": "geometric", "N": 6}}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(path), "--horizon", "3")
+    assert code == 3 and out == "" and "'tpye'" in err
+    # Each type takes its own keys only; chern, which builds no family,
+    # refuses them too.
+    for tail, key in (({"type": "geometric", "N": 6, "values": [1]}, "'values'"),
+                      ({"type": "table", "values": [1, 1, 1, 1], "N": 6}, "'N'"),
+                      ({"type": "none", "N": 6}, "'N'")):
+        path.write_text(json.dumps(dict(spec, tail=tail)))
+        for argv in (("certify", "--horizon", "3"), ("chern", "--k", "1")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+            assert code == 3 and out == "" and key in err, (tail, argv)
+    for tail in ({"type": ["geometric"]}, {"type": "geometrc", "N": 6}):
+        path.write_text(json.dumps(dict(spec, tail=tail)))
+        code, out, err = run_cli(capsys, "certify", "--spec", str(path), "--horizon", "3")
+        assert code == 3 and out == "" and "unknown tail majorant type" in err, tail
+    path.write_text(json.dumps(dict(spec, tail={"type": "geometric", "N": 6})))
+    code, out, err = run_cli(capsys, "certify", "--spec", str(path), "--horizon", "3")
+    assert code in (0, 2) and err == ""
+
+
+def test_spec_keys_in_a_geometric_config_are_refused(tmp_path, capsys):
+    # The lists used to be neither checked nor echoed: Certified, exit 0.
+    cfg = tmp_path / "run.json"
+    for config, key in (({"N": 6, "horizon": 3, "d": ["a"], "k": 5}, "'d'"),
+                        ({"N": 6, "horizon": 3, "k": [0, 1]}, "'k'"),
+                        ({"N": 6, "horizon": 3, "tail": {"type": "none"}}, "'tail'")):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "certify", "--config", str(cfg))
+        assert code == 3 and out == "" and key in err, config
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"d": [1, 6], "k": [0, 1]}))
+    code, out, err = run_cli(capsys, "params", "--spec", str(spec), "--family", "geometric")
+    assert code == 3 and out == "" and "'d'" in err
+
+
 def test_every_accepted_config_key_runs(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

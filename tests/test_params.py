@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ahcert.errors import InputError
 from ahcert.params import (
@@ -68,6 +70,82 @@ def test_sequences_recursions_rederivable():
             table.r[n - 1] - table.t[n - 1]
         )
     assert table.t[0] == 0 and table.r[0] == 1 and table.s[0] == 1
+
+
+def recurrence_values(d, k, H):
+    """r, s, t at every stage and P, with sum_{j=2..H} k(j)/l(j) = P/r(H),
+    by the stage-by-stage recurrences."""
+    r, s, t = [d[0] + k[0]], [d[0]], [0]
+    for n in range(H):
+        d1, k1 = d[n + 1], k[n + 1]
+        r.append(r[n] * (d1 + k1))
+        s.append(s[n] * d1)
+        t.append(d1 * t[n] + k1 * (r[n] - t[n]))
+    P = 0
+    for j in range(2, H + 1):
+        P = P * (d[j] + k[j]) + k[j] * r[j - 1]
+    return r, s, t, P
+
+
+def constant_tail(value):
+    return None if value is None else (lambda n: value)
+
+
+_entries = st.one_of(st.integers(0, 4), st.integers(0, 60), st.integers(0, 10 ** 12))
+
+
+@st.composite
+def explicit_tables(draw):
+    """A random explicit family, a horizon and an order of stage reads."""
+    pairs = draw(st.lists(
+        st.tuples(_entries, _entries).filter(lambda p: p != (0, 0)),
+        min_size=1, max_size=40,
+    ))
+    d = [1] + [dj for dj, _ in pairs]
+    k = [0] + [kj for _, kj in pairs]
+    tail = draw(st.none() | st.fractions(min_value=0, max_value=2, max_denominator=99))
+    H = draw(st.integers(1, len(pairs)))
+    return d, k, tail, H, draw(st.permutations(range(H + 1)))
+
+
+# Every edge at once, over more stages than one product-tree leaf: k > d
+# (so prod (d - k) is negative), k = 0, and d = 0 with k >= 1.
+_EDGES = ([1, 6, 2, 0, 36, 5, 0, 7, 1, 9, 0, 3], [0, 1, 5, 3, 0, 9, 1, 0, 1, 2, 4, 3])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(explicit_tables())
+@example((*_EDGES, Fraction(1, 3), 11, list(range(11, -1, -1))))
+@example((*_EDGES, None, 11, list(range(12))))
+@example(([1, 0], [0, 2], None, 1, [1, 0]))
+def test_horizon_values_and_stages_match_the_recurrences(case):
+    d, k, tail, H, order = case
+    table = sequences(make_explicit_family(d, k, tail_majorant=constant_tail(tail)), H)
+    r, s, t, P = recurrence_values(d, k, H)
+    a, b = (0, 1) if tail is None else (tail.numerator, tail.denominator)
+    expected = {
+        "kappa_lb": (s[H] * (b - a), r[H] * b),
+        "kappa_ub": (s[H], r[H]),
+        "omega_prime_ub": (P * b + a * r[H], r[H] * b),
+        "omega_prime_partial": (P, r[H]),
+        "tau_ub": (t[H] * b + a * r[H], r[H] * b),
+    }
+    assert {e.name: (e.num, e.den) for e in table.enclosures} == expected
+    assert all(link.holds and link.reverify() for link in table.links)
+    assert len(table.stages) == 1  # no stage is tabulated until read
+    for n in order:
+        assert table.stage(n) == (r[n], s[n], t[n])
+    assert (table.r, table.s, table.t) == (tuple(r), tuple(s), tuple(t))
+    if not table.exact:
+        assert table.refined().stages is table.stages
+
+
+def test_stages_are_read_inside_the_horizon_only():
+    table = sequences(make_geometric_family(6), 3)
+    for n in (-1, 4):
+        with pytest.raises(InputError, match="outside horizon"):
+            table.stage(n)
+    assert len(table.stages) == 1
 
 
 def test_sequences_omega_is_first_stage_fraction():

@@ -52,3 +52,12 @@ def test_escalation_reaches_the_exact_values():
     assert report.table.bits is None or report.table.bits > 6
     assert report.separation.rho == Fraction(23, 10)
     assert all(link.holds and link.reverify() for link in report.table.links)
+
+
+def test_certify_tabulates_stages_only_as_far_as_its_scans_read():
+    report = certify_theorem({"N": 6, "horizon": 200})
+    assert report.verdict == "Certified"
+    cert = report.separation.certificate
+    # The bounds read the horizon values, which tabulate no stage; the n0
+    # and n scans of the lower certificate stop at n, the flip reads stage 1.
+    assert len(report.table.stages) == max(cert.n, 1) + 1 <= 4

@@ -17,6 +17,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CASES = {
     "certify_n6_h40": ["certify", "--N", "6", "--horizon", "40"],
     "certify_n3_h12_refuted": ["certify", "--N", "3", "--horizon", "12"],
+    "certify_n5_h200": ["certify", "--N", "5", "--horizon", "200"],
+    "certify_n8_h200": ["certify", "--N", "8", "--horizon", "200"],
     "certify_spec_no_tail": [
         "certify", "--spec", os.path.join(GOLDEN, "family_six_no_tail.json"),
         "--horizon", "5",
