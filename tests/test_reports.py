@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ahcert.cli import main
-from ahcert.params import LinkCheck
+from ahcert.params import LinkCheck, make_geometric_family, sequences
 from ahcert.pipeline import VERDICT_EXIT, to_json
 from ahcert.rcbounds import RcLowerCertificate
 
@@ -19,9 +19,15 @@ CASES = {
     "certify_n3_h12_refuted": ["certify", "--N", "3", "--horizon", "12"],
     "certify_n5_h200": ["certify", "--N", "5", "--horizon", "200"],
     "certify_n8_h200": ["certify", "--N", "8", "--horizon", "200"],
+    "certify_n12_h640": ["certify", "--N", "12", "--horizon", "640"],
     "certify_spec_no_tail": [
         "certify", "--spec", os.path.join(GOLDEN, "family_six_no_tail.json"),
         "--horizon", "5",
+    ],
+    # kappa_ub = s(2)/r(2) = 1/2 sits on the witness grid.
+    "certify_spec_dyadic_kappa": [
+        "certify", "--spec", os.path.join(GOLDEN, "family_dyadic_kappa.json"),
+        "--horizon", "2",
     ],
     "params_n6_h12": ["params", "--N", "6", "--horizon", "12"],
     "rc_lower_n6_h12": ["rc-lower", "--rho", "3/2", "--N", "6", "--horizon", "12"],
@@ -53,7 +59,8 @@ def test_golden_reports_cover_every_verdict():
 
 
 def test_to_json_drops_uncompared_fields_and_renders_ranks():
-    link = LinkCheck("kappa_lb", Fraction(53, 64), "<=", "s(4)/r(4)", True, 7, 8)
+    enclosure = sequences(make_geometric_family(6), 4).enclosures[0]
+    link = LinkCheck("kappa_lb", Fraction(53, 64), "<=", "s(4)/r(4)", True, enclosure)
     assert to_json(link) == {
         "name": "kappa_lb", "lhs": "53/64", "rel": "<=", "rhs": "s(4)/r(4)",
         "holds": True,
