@@ -750,18 +750,21 @@ _REL_OPS = {
 }
 
 
-def compare(lhs: Fraction, rel: str, rhs: Fraction) -> bool:
+def _relation(rel: str):
     try:
-        op = _REL_OPS[rel]
+        return _REL_OPS[rel]
     except KeyError:
         raise InputError(f"unknown relation {rel!r}") from None
-    return op(as_fraction(lhs), as_fraction(rhs))
+
+
+def compare(lhs: Fraction, rel: str, rhs: Fraction) -> bool:
+    return _relation(rel)(as_fraction(lhs), as_fraction(rhs))
 
 
 def check(name: str, lhs, rel: str, rhs) -> ConstraintCheck:
     lhs = as_fraction(lhs)
     rhs = as_fraction(rhs)
-    return ConstraintCheck(name, lhs, rel, rhs, compare(lhs, rel, rhs))
+    return ConstraintCheck(name, lhs, rel, rhs, _relation(rel)(lhs, rhs))
 
 
 @dataclass(frozen=True)

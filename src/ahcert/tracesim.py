@@ -5,18 +5,19 @@ rationals, stored as knots: the samples at a few grid indices, with every
 other sample on the segment between its neighbouring knots.  Pushing a
 function through one stage of a diagonal system averages its compositions
 with the stage's entry maps (piecewise-linear self-maps of the interval,
-or point evaluations); each composition is sampled only where it can
-bend, so the cost follows the number of knots, not the grid size.  The
-sampling runs on integers in grid units and builds each sample as one
-fraction.  The quantities being checked (per-step gaps, rounding errors)
+or point evaluations).  Each map holds its pieces as integer affine forms
+in grid units, built once per grid size, and one fused pass samples every
+composition of a push only where it can bend, on integers, with one
+fraction per output knot: the cost follows the number of knots, not the
+grid size.  The quantities being checked (per-step gaps, rounding errors)
 are exact rationals, all sup norms are grid sup norms, and every
 comparison against a stage-gap bound is a theorem about the grid
 functions.
 
 A push is linear and unital on grid functions, so the intertwining
 ladder telescopes: each rung is the next one plus the pushed stage
-difference, and a constant difference passes through every later stage
-unchanged.
+difference, a constant difference passes through every later stage
+unchanged, and the rungs are summed only when read.
 
 The stage-gap series and the flip need no stage-by-stage loop: the
 series is enclosed by the table's constants, and the flip by its stage-0
@@ -27,9 +28,12 @@ fixed number of checks at every horizon.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from functools import cached_property
+from itertools import accumulate
+from math import ceil, gcd, lcm
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,13 +43,14 @@ from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction
 
 DEFAULT_RESOLUTION = 2 ** 12
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 #: The most ladder stages ``trace-sim`` runs.  The synthetic ladder
-#: telescopes into two stage pushes per stage (``simulate_intertwining``),
+#: telescopes into one fused pass per stage (``simulate_intertwining``),
 #: but its samples carry denominators of order stages^2 bits, about 4100
-#: bits at this cap for N = 6, so each push gets dearer as the stage count
-#: grows.  At this cap a cold run costs a quarter to a third of what
-#: ``certify`` costs at ``pipeline.MAX_HORIZON``.
+#: bits at this cap for N = 6, so each pass gets dearer as the stage count
+#: grows.  At this cap a cold run takes about as long as ``certify`` at
+#: ``pipeline.MAX_HORIZON``, most of it interpreter start-up and imports.
 MAX_STAGES = 56
 
 #: The most points ``density --van-der-corput`` generates.  Every point is
@@ -61,22 +66,50 @@ MAX_POINTS = 2 ** 15
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
-    """A piecewise-linear self-map of [0, 1] given by its breakpoints."""
+    """A piecewise-linear self-map of [0, 1] given by its breakpoints.
+
+    Each piece is also kept as an integer affine form in grid units: at
+    resolution G it sends grid index i to grid position (a i + G e)/c,
+    with integers a, e and c > 0 set by the breakpoints alone.
+    """
 
     breakpoints: tuple
 
     def __post_init__(self):
-        pts = self.breakpoints
+        pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.breakpoints)
         if len(pts) < 2:
             raise InputError("need at least two breakpoints")
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        if xs[0] != 0 or xs[-1] != 1:
+        ints = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
+        if ints[0][0] != 0 or ints[-1][0] != ints[-1][1]:
             raise InputError("breakpoints must span [0, 1]")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InputError("breakpoint abscissae must be strictly increasing")
-        if any(not 0 <= y <= 1 for y in ys):
+        forms = []
+        for (p0, q0, r0, t0), (p1, q1, r1, t1) in zip(ints, ints[1:]):
+            run = p1 * q0 - p0 * q1  # (x1 - x0) q0 q1
+            if run <= 0:
+                raise InputError("breakpoint abscissae must be strictly increasing")
+            rise = r1 * t0 - r0 * t1  # (y1 - y0) t0 t1
+            a, e, c = rise * q0 * q1, r0 * t1 * run - rise * q1 * p0, t0 * t1 * run
+            g = gcd(a, e, c)
+            forms.append((a // g, e // g, c // g, p0, q0, r0, t0, r1, t1))
+        if any(not 0 <= r <= t for _, _, r, t in ints):
             raise InputError("map leaves [0, 1]")
+        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "_forms", tuple(forms))
+        object.__setattr__(self, "_grids", {})
+
+    def _pieces(self, G: int) -> tuple:
+        """The pieces at resolution G, cached: the first grid index of each,
+        and each as (a, G e, c, floor and ceiling of its start G x0, and its
+        image range in grid units rounded outward)."""
+        grid = self._grids.get(G)
+        if grid is None:
+            pieces = tuple(
+                (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
+                 min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
+                for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
+            )
+            grid = self._grids[G] = ([piece[4] for piece in pieces], pieces)
+        return grid
 
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
@@ -90,22 +123,25 @@ class PiecewiseLinearMap:
 
 
 def identity_map() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+    return PiecewiseLinearMap(((_ZERO, _ZERO), (_ONE, _ONE)))
+
+
+_IDENTITY = identity_map()
 
 
 def constant_map(c) -> PiecewiseLinearMap:
     c = as_fraction(c)
-    return PiecewiseLinearMap(((Fraction(0), c), (Fraction(1), c)))
+    return PiecewiseLinearMap(((_ZERO, c), (_ONE, c)))
 
 
-def contraction_map(center, factor=Fraction(1, 2)) -> PiecewiseLinearMap:
+def contraction_map(center, factor=_HALF) -> PiecewiseLinearMap:
     """x -> center + factor (x - center): contraction toward a point."""
     center = as_fraction(center)
     factor = as_fraction(factor)
     if not 0 <= factor < 1:
         raise InputError(f"contraction factor must be in [0, 1), got {factor}")
     lo = center * (1 - factor)
-    return PiecewiseLinearMap(((Fraction(0), lo), (Fraction(1), lo + factor)))
+    return PiecewiseLinearMap(((_ZERO, lo), (_ONE, lo + factor)))
 
 
 def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
@@ -200,9 +236,7 @@ class GridFunction:
         if i1 == pos:
             return v1
         i0, v0 = knots[j - 1]
-        return Fraction(
-            *_on_segment(i0, v0, i1, v1, pos.numerator, pos.denominator)
-        )
+        return v0 + (v1 - v0) * (pos - i0) / (i1 - i0)
 
     def interpolate(self, x) -> Fraction:
         """Value at x, linear between adjacent samples."""
@@ -212,86 +246,21 @@ class GridFunction:
         return self._sample(x * self.resolution)
 
     def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
-        """Grid samples of self composed with the interval map m.
-
-        f o m is affine between consecutive breakpoints of m and the
-        preimages of f's knot positions under each non-constant piece of
-        m.  Sampling at 0, G and the grid points on either side of each
-        such point therefore leaves every other sample collinear with its
-        neighbours.
-
-        Each piece of m is written once in grid units, i -> (a i + b)/c
-        with integers a, b and c > 0, so the cut points and the knot
-        interval of each sample come from integer comparisons and each
-        sample is built as one fraction.
-        """
-        G = self.resolution
-        knots = self.knots
-        idx = [i for i, _ in knots]
-        starts = []  # first grid index of each piece
-        pieces = []  # (a, b, c) of each piece
-        candidates = {0, G}
-        for (x0, y0), (x1, y1) in zip(m.breakpoints, m.breakpoints[1:]):
-            start = x0 * G
-            floor = start.numerator // start.denominator
-            candidates.add(floor)
-            starts.append(floor if floor == start else floor + 1)
-            candidates.add(starts[-1])
-            slope = (y1 - y0) / (x1 - x0)
-            offset = G * y0 - slope * start
-            c = lcm(slope.denominator, offset.denominator)
-            a = slope.numerator * (c // slope.denominator)
-            b = offset.numerator * (c // offset.denominator)
-            pieces.append((a, b, c))
-            if not a:
-                continue
-            # Knots strictly between G y0 and G y1 pull back to cuts
-            # (c k - b)/a strictly inside the piece.
-            lo, hi = sorted((G * y0, G * y1))
-            first = bisect.bisect_right(idx, lo.numerator // lo.denominator)
-            last = bisect.bisect_left(idx, -(-hi.numerator // hi.denominator))
-            sign = 1 if a > 0 else -1
-            for k in idx[first:last]:
-                num, den = sign * (c * k - b), sign * a
-                candidates.add(num // den)
-                candidates.add(-(-num // den))
-
-        last_knot = len(idx) - 1
-        out = []
-        for i in sorted(candidates):
-            a, b, c = pieces[bisect.bisect_right(starts, i) - 1]
-            pos = a * i + b  # the sample sits at grid position pos / c
-            j = bisect.bisect_right(idx, pos // c)
-            if j > last_knot:  # pos / c = G
-                out.append((i, knots[-1][1]))
-                continue
-            (i0, v0), (i1, v1) = knots[j - 1], knots[j]
-            if pos == i0 * c:
-                out.append((i, v0))
-                continue
-            out.append((i, Fraction(*_on_segment(i0, v0, i1, v1, pos, c))))
-        return GridFunction._from_valid_knots(G, tuple(out))
+        """Grid samples of self composed with m: a one-term ``_combine``."""
+        return _weighted_average(self, [(1, m)])
 
     def sup_norm(self) -> Fraction:
         """The grid sup: every other sample lies between two knot values."""
         return max(abs(v) for _, v in self.knots)
 
+    def add(self, other: "GridFunction", w=1) -> "GridFunction":
+        return _combine([[(1, self, _IDENTITY), (w, other, _IDENTITY)]])[0]
+
     def sub(self, other: "GridFunction") -> "GridFunction":
-        return _linear_combination([(1, self), (-1, other)])
+        return self.add(other, -1)
 
     def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
-
-
-def _on_segment(i0, v0, i1, v1, pos: int, c: int) -> tuple:
-    """Numerator and denominator, unreduced, of the value at grid position
-    pos / c on the segment from knot (i0, v0) to knot (i1, v1)."""
-    p0, q0 = v0.numerator, v0.denominator
-    p1, q1 = v1.numerator, v1.denominator
-    return (
-        p0 * q1 * (i1 * c - pos) + p1 * q0 * (pos - i0 * c),
-        q0 * q1 * c * (i1 - i0),
-    )
 
 
 def _compress(knots: tuple) -> tuple:
@@ -315,40 +284,6 @@ def _compress(knots: tuple) -> tuple:
                 out.pop()
         out.append(knot)
     return tuple(out)
-
-
-def _linear_combination(terms) -> GridFunction:
-    """sum of w g over the (w, g) pairs, evaluated on the union of their knots.
-
-    Each sum is carried as an integer numerator and denominator and
-    reduced once, into one fraction per knot.
-    """
-    resolution = terms[0][1].resolution
-    if any(g.resolution != resolution for _, g in terms):
-        raise InputError("grid functions have incompatible resolutions")
-    indices = sorted({i for _, g in terms for i, _ in g.knots})
-    nums = [0] * len(indices)
-    dens = [1] * len(indices)
-    for w, g in terms:
-        wn, wd = w.numerator, w.denominator
-        knots = g.knots
-        j = 0
-        for pos, i in enumerate(indices):
-            while knots[j][0] < i:
-                j += 1
-            i1, v1 = knots[j]
-            if i1 == i:
-                n, d = v1.numerator, v1.denominator
-            else:
-                i0, v0 = knots[j - 1]
-                n, d = _on_segment(i0, v0, i1, v1, i, 1)
-            n, d = wn * n, wd * d
-            nums[pos] = nums[pos] * d + n * dens[pos]
-            dens[pos] *= d
-    return GridFunction._from_valid_knots(
-        resolution,
-        tuple((i, Fraction(n, d)) for i, n, d in zip(indices, nums, dens)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +371,101 @@ def averaged_composition(
     ref = [(as_fraction(w), m) for w, m in reference]
     if sum((w for w, _ in ref), Fraction(0)) != 1:
         raise InputError("reference weights must sum to 1")
-    grouped: dict = {}
-    for m in maps:
-        grouped[m] = grouped.get(m, 0) + 1
-    N = len(maps)
+    averaged = [(Fraction(c, len(maps)), m) for m, c in Counter(maps).items()]
+    rows = (averaged, averaged + [(-w, m) for w, m in ref])
     out = []
     for f in functions:
-        avg = _weighted_average(f, [(Fraction(c, N), m) for m, c in grouped.items()])
-        ref_img = _weighted_average(f, ref)
-        out.append((avg, avg.distance(ref_img)))
+        avg, gap = _combine([[(w, f, m) for w, m in row] for row in rows])
+        out.append((avg, gap.sup_norm()))
     return out
 
 
 def _weighted_average(f: GridFunction, weighted_maps) -> GridFunction:
     """sum of w (f o m) over the (w, m) pairs."""
-    return _linear_combination([(w, f.resample(m)) for w, m in weighted_maps])
+    return _combine([[(w, f, m) for w, m in weighted_maps]])[0]
+
+
+def _combine(rows) -> List[GridFunction]:
+    """For each row of (w, g, m) terms, the grid function sum of w (g o m).
+
+    g o m is affine between consecutive candidates of ``_bends``, so each
+    sum is sampled at the union of every term's candidates only, and a
+    pair (g, m) met in several terms once.  At grid index i, m's piece
+    gives the grid position (a i + G e)/c, and g's segment around it two
+    small integer weights on its end knots.  A row sums the weights per
+    segment, so each output sample costs one dot product with the knot
+    values (over their least common denominator) and one fraction.
+    """
+    G = rows[0][0][1].resolution
+    pairs = {}  # (id(g), id(m)) -> position in terms
+    terms = []  # the distinct (g, m) pairs
+    weights = []  # per row: (position in terms, weight numerator, denominator)
+    for row in rows:
+        summed = {}
+        for w, g, m in row:
+            if g.resolution != G:
+                raise InputError("grid functions have incompatible resolutions")
+            j = pairs.setdefault((id(g), id(m)), len(terms))
+            if j == len(terms):
+                terms.append((g, m))
+            summed[j] = summed[j] + w if j in summed else w
+        weights.append([(j, w.numerator, w.denominator) for j, w in summed.items() if w])
+
+    indices = [[i for i, _ in g.knots] for g, _ in terms]
+    bends = (_bends(m._pieces(G)[1], idx) for (_, m), idx in zip(terms, indices))
+    candidates = sorted({0, G}.union(*bends))
+    segments = {}  # (id(g), k) -> the values at knots k - 1 and k as (p0, p1, q)
+    columns = []  # per pair and candidate: (segment, knot weights, denominator)
+    for (g, m), idx in zip(terms, indices):
+        starts, pieces = m._pieces(G)
+        column = []
+        for i in candidates:
+            a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
+            pos = a * i + b
+            k = min(bisect.bisect_right(idx, pos // c), len(idx) - 1)
+            i0, i1 = idx[k - 1], idx[k]
+            key = (id(g), k)
+            if key not in segments:
+                (_, v0), (_, v1) = g.knots[k - 1 : k + 1]
+                q = lcm(v0.denominator, v1.denominator)
+                segments[key] = (v0.numerator * (q // v0.denominator),
+                                 v1.numerator * (q // v1.denominator), q)
+            column.append((key, i1 * c - pos, pos - i0 * c, c * (i1 - i0)))
+        columns.append(column)
+
+    out = []
+    for row in weights:
+        samples = []
+        for t, i in enumerate(candidates):
+            acc = {}
+            for j, wn, wd in row:
+                key, x0, x1, d = columns[j][t]
+                y0, y1, e = acc.get(key, (0, 0, 1))
+                d *= wd
+                acc[key] = (y0 * d + wn * x0 * e, y1 * d + wn * x1 * e, e * d)
+            num, den = 0, 1
+            for key, (x0, x1, d) in acc.items():
+                p0, p1, q = segments[key]
+                d *= q
+                num, den = num * d + (p0 * x0 + p1 * x1) * den, den * d
+            samples.append((i, Fraction(num, den)))
+        out.append(GridFunction._from_valid_knots(G, tuple(samples)))
+    return out
+
+
+def _bends(pieces, idx) -> list:
+    """Grid indices around which g o m can bend, for m's pieces and g's knot
+    indices idx: both grid neighbours of each piece's start and of each cut
+    (c k - G e)/a where the piece crosses a knot k strictly inside its image."""
+    out = []
+    for a, b, c, floor, ceiling, lo, hi in pieces:
+        out += (floor, ceiling)
+        if a:
+            sign = 1 if a > 0 else -1
+            for k in idx[bisect.bisect_right(idx, lo):bisect.bisect_left(idx, hi)]:
+                num, den = sign * (c * k - b), sign * a
+                out += (num // den, -(-num // den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +546,11 @@ class StageEntries:
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
+    def weights(self) -> list:
+        """The (weight, map) pairs of the push: each entry at c/l."""
+        l = self.total
+        return [(Fraction(c, l), m) for m, c in self.entries]
+
     def push(self, f: GridFunction) -> GridFunction:
         """(1/l) sum over entries of f o entry: positive, unital, contractive.
 
@@ -538,32 +558,18 @@ class StageEntries:
         """
         if f.is_constant:
             return f
-        l = self.total
-        return _weighted_average(f, [(Fraction(c, l), m) for m, c in self.entries])
+        return _weighted_average(f, self.weights())
 
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
     """Number of leading entry positions (counted with multiplicity) that agree."""
-    agreed = 0
-    ia = ib = 0
-    rema = remb = 0
-    ea = list(a.entries)
-    eb = list(b.entries)
-    while ia < len(ea) and ib < len(eb):
-        if rema == 0:
-            map_a, rema = ea[ia]
-        if remb == 0:
-            map_b, remb = eb[ib]
-        if map_a != map_b:
-            break
-        step = min(rema, remb)
-        agreed += step
-        rema -= step
-        remb -= step
-        if rema == 0:
-            ia += 1
-        if remb == 0:
-            ib += 1
+    ea, eb = a.entries, b.entries
+    ends_a, ends_b = list(accumulate(c for _, c in ea)), list(accumulate(c for _, c in eb))
+    agreed = ia = ib = 0  # entries ia and ib both cover position ``agreed``
+    while ia < len(ea) and ib < len(eb) and ea[ia][0] == eb[ib][0]:
+        agreed = min(ends_a[ia], ends_b[ib])
+        ia += ends_a[ia] == agreed
+        ib += ends_b[ib] == agreed
     return agreed
 
 
@@ -571,9 +577,18 @@ def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
 class IntertwiningResult:
     start_stage: int
     horizon: int
-    functions: tuple        # w_n for n = start..horizon, all at stage `horizon`
     step_distances: tuple
     step_bounds: tuple
+    ladder: InitVar[tuple]  # (w_H, the steps w_n - w_(n+1) for n = start..H-1)
+
+    def __post_init__(self, ladder):
+        object.__setattr__(self, "_ladder", ladder)
+
+    @cached_property
+    def functions(self) -> tuple:
+        """w_n for n = start..horizon at stage ``horizon``, summed on first read."""
+        top, steps = self._ladder
+        return tuple(accumulate(reversed(steps), GridFunction.add, initial=top))[::-1]
 
 
 def simulate_intertwining(
@@ -595,8 +610,9 @@ def simulate_intertwining(
     stage n + 1 to H under it.  The pushed difference is the step, so its
     sup norm is the step distance.  A constant difference (the systems
     differ only in point evaluations) passes through Q_(n+1) unchanged,
-    which makes the synthetic ladder cost two pushes per stage; a
-    general pair costs no more pushes than the direct definition.
+    which makes the synthetic ladder cost one fused pass per stage; a
+    general pair costs no more pushes than the direct definition.  The
+    rungs w_n are summed from the steps when ``functions`` is first read.
 
     Consecutive ladder elements differ only through the stage-n
     disagreement, so their grid distance is at most 2 (disagreeing
@@ -609,49 +625,37 @@ def simulate_intertwining(
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
     if horizon > len(system_a) or horizon > len(system_b):
         raise InputError("systems do not reach the requested horizon")
-    deltas = []
+    # u runs through u_n, v pushed from stage m to n under the first system;
+    # one pass over stage n's maps gives u_(n+1) = A_n u_n and the difference
+    # B_n u_n - u_(n+1), from which a map held by both stages cancels.
+    u, steps, deltas = v, [], []
     for n in range(m, horizon):
         a, b = system_a[n], system_b[n]
         if a.total != b.total:
-            raise InputError(
-                f"stage {n} multiplicity mismatch: {a.total} != {b.total}"
-            )
+            raise InputError(f"stage {n} multiplicity mismatch: {a.total} != {b.total}")
         deltas.append(Fraction(2 * (a.total - agreement_prefix(a, b)), a.total))
-
-    # u_n = push of v from m to n under the first system.
-    us = [v]
-    for n in range(m, horizon):
-        us.append(system_a[n].push(us[-1]))
-    # steps[n - m] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1)).
-    steps = []
-    for n in range(m, horizon):
-        step = system_b[n].push(us[n - m]).sub(us[n - m + 1])
-        for j in range(n + 1, horizon):
-            step = system_b[j].push(step)
+        pushed = a.weights()
+        difference = b.weights() + [(-w, g) for w, g in pushed]
+        u, step = _combine([[(w, u, g) for w, g in row] for row in (pushed, difference)])
         steps.append(step)
-    ws = [us[-1]]
-    for step in reversed(steps):
-        ws.append(_linear_combination([(1, ws[-1]), (1, step)]))
-    ws.reverse()
 
-    scale = max(Fraction(1), v.sup_norm())
-    distances = []
-    bounds = []
-    for i, (step, delta) in enumerate(zip(steps, deltas)):
-        dist = step.sup_norm()
-        bound = delta * scale
+    scale = max(_ONE, v.sup_norm())
+    distances, bounds = [], []
+    for i, n in enumerate(range(m, horizon)):
+        # steps[i] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1))
+        for stage in system_b[n + 1 : horizon]:
+            steps[i] = stage.push(steps[i])
+        dist, bound = steps[i].sup_norm(), deltas[i] * scale
         if dist > bound:
-            raise ConsistencyError(
-                f"step {m + i}: distance {dist} exceeds bound {bound}"
-            )
+            raise ConsistencyError(f"step {n}: distance {dist} exceeds bound {bound}")
         distances.append(dist)
         bounds.append(bound)
     return IntertwiningResult(
         start_stage=m,
         horizon=horizon,
-        functions=tuple(ws),
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
+        ladder=(u, tuple(steps)),
     )
 
 
@@ -670,18 +674,13 @@ def synthetic_system_pair(
     if stages > table.horizon:
         raise InputError(f"table horizon {table.horizon} < requested stages {stages}")
     anchors = van_der_corput(3 * stages)
-    sys_a = []
-    sys_b = []
+    sys_a, sys_b = [], []
     for n in range(stages):
         d, k = table.d[n + 1], table.k[n + 1]
-        shared = contraction_map(anchors[3 * n], Fraction(1, 2))
-        entries_a = [(shared, d)]
-        entries_b = [(shared, d)]
-        if k:
-            entries_a.append((constant_map(anchors[3 * n + 1]), k))
-            entries_b.append((constant_map(anchors[3 * n + 2]), k))
-        sys_a.append(StageEntries(tuple(entries_a)))
-        sys_b.append(StageEntries(tuple(entries_b)))
+        shared = (contraction_map(anchors[3 * n], _HALF), d)
+        for system, anchor in ((sys_a, anchors[3 * n + 1]), (sys_b, anchors[3 * n + 2])):
+            entries = (shared, (constant_map(anchor), k)) if k else (shared,)
+            system.append(StageEntries(entries))
     return sys_a, sys_b
 
 

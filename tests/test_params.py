@@ -10,7 +10,9 @@ from ahcert.errors import InputError
 from ahcert.params import (
     STATUS_FAIL,
     _chain_ends,
+    check,
     check_constraints,
+    compare,
     kappa_lower_bound,
     make_explicit_family,
     make_geometric_family,
@@ -367,6 +369,16 @@ def test_check_constraints_horizon_one():
     report = check_constraints(make_geometric_family(6), 1)
     assert report.all_passed
     assert report.table.omega_prime_ub == Fraction(1, 30)
+
+
+def test_check_and_compare_refuse_an_unknown_relation():
+    assert check("half below one", "1/2", "<", 1).holds
+    assert not check("half above one", Fraction(1, 2), ">=", 1).holds
+    for rel in ("=<", "", "≤"):
+        with pytest.raises(InputError, match="unknown relation"):
+            check("bad", 1, rel, 2)
+        with pytest.raises(InputError, match="unknown relation"):
+            compare(1, rel, 2)
 
 
 def test_geometric_ratio_majorant_verifies_supplied_range():

@@ -35,6 +35,9 @@ CASES = {
     "chern_k3": ["chern", "--k", "3"],
     "telescope_n6_h12": ["telescope", "--nu", "0,1,3", "--N", "6", "--horizon", "12"],
     "trace_sim_s4_g64": ["trace-sim", "--stages", "4", "--grid", "64"],
+    # The heaviest benchmarked ladder, and the stage cap at the default grid.
+    "trace_sim_s10_g256": ["trace-sim", "--stages", "10", "--grid", "256"],
+    "trace_sim_s56": ["trace-sim", "--stages", "56"],
     "density_vdc64": ["density", "--van-der-corput", "64"],
 }
 

@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 from math import ceil
@@ -27,7 +28,7 @@ from ahcert.tracesim import (
     synthetic_system_pair,
     van_der_corput,
 )
-from ahcert.tracesim import _weighted_average
+from ahcert.tracesim import _combine, _weighted_average
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,35 @@ def test_map_must_stay_inside_interval():
         PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
     with pytest.raises(InputError):
         constant_map(Fraction(3, 2))
+
+
+def test_map_refusals_are_pinned():
+    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+    for breakpoints, message in (
+        (((zero, zero),), "need at least two breakpoints"),
+        (((half, zero), (one, one)), r"breakpoints must span \[0, 1\]"),
+        (((zero, zero), (Fraction(3, 2), one)), r"breakpoints must span \[0, 1\]"),
+        (((zero, zero), (half, one), (half, zero), (one, one)),
+         "breakpoint abscissae must be strictly increasing"),
+        (((zero, zero), (Fraction(3, 4), one), (half, zero), (one, one)),
+         "breakpoint abscissae must be strictly increasing"),
+        (((zero, zero), (one, Fraction(-1, 3))), r"map leaves \[0, 1\]"),
+        (((zero, Fraction(9, 8)), (one, one)), r"map leaves \[0, 1\]"),
+    ):
+        with pytest.raises(InputError, match=message):
+            PiecewiseLinearMap(breakpoints)
+
+
+def test_map_refuses_float_breakpoints_up_front():
+    for breakpoints in (((0.0, 0.0), (1.0, 0.5)), ((0, 0), (1, 0.5))):
+        with pytest.raises(InputError, match="float"):
+            PiecewiseLinearMap(breakpoints)
+    # ints and "p/q" strings are exact and accepted
+    m = PiecewiseLinearMap(((0, "1/4"), (1, "3/4")))
+    assert m == contraction_map(Fraction(1, 2))
+    assert GridFunction(4, ((0, 0), (4, 1))).resample(m).knots == (
+        (0, Fraction(1, 4)), (4, Fraction(3, 4)),
+    )
 
 
 def test_grid_function_exact_interpolation():
@@ -134,6 +164,64 @@ def test_knot_form_matches_dense_samples(data):
     assert f.distance(g) == max(abs(a - b) for a, b in zip(samples, other))
     assert f.sup_norm() == max(abs(a) for a in samples)
     assert f.interpolate(x) == dense_interpolate(samples, x)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(m=interval_maps(), G=st.integers(1, 4096), data=st.data())
+def test_integer_pieces_match_the_map(m, G, data):
+    starts, pieces = m._pieces(G)
+    assert m._pieces(G) is m._pieces(G)  # built once per resolution
+    ends = zip(m.breakpoints, m.breakpoints[1:])
+    for (a, b, c, floor, ceiling, lo, hi), ((x0, y0), (x1, y1)) in zip(pieces, ends):
+        assert c > 0
+        assert (floor, ceiling) == (G * x0 // 1, -(-G * x0 // 1))
+        for x, y in ((x0, y0), (x1, y1)):
+            assert (a * G * x + b) / c == G * y
+            assert lo <= G * y <= hi
+    for i in data.draw(st.lists(st.integers(0, G), max_size=8), label="i"):
+        a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
+        assert Fraction(a * i + b, c) == G * m(Fraction(i, G))
+
+
+@st.composite
+def shared_entries(draw):
+    """Up to four (map, multiplicity) entries drawn from a pool of at most
+    three map objects, so that one map can stand in several entries."""
+    pool = draw(st.lists(interval_maps(), min_size=1, max_size=3))
+    return [
+        (draw(st.sampled_from(pool)), draw(st.integers(1, 5)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_fused_push_matches_dense_samples(data):
+    G = data.draw(st.integers(1, 256), label="G")
+    inner = data.draw(st.lists(st.integers(1, max(1, G - 1)), max_size=6), label="knots")
+    idx = sorted({0, G} | {i for i in inner if i < G})
+    f = GridFunction(G, tuple((i, data.draw(sample_values)) for i in idx))
+    samples = list(f.values)
+    first = data.draw(shared_entries(), label="A")
+    second = data.draw(shared_entries(), label="B")
+
+    def dense_push(entries):
+        total = sum(c for _, c in entries)
+        out = [Fraction(0)] * (G + 1)
+        for m, c in entries:
+            for i, y in enumerate(dense_resample(samples, m)):
+                out[i] += Fraction(c, total) * y
+        return tuple(out)
+
+    expected_a, expected_b = dense_push(first), dense_push(second)
+    assert StageEntries(tuple(first)).push(f).values == expected_a
+    # Two rows in one pass, one of them signed, as a ladder stage uses them.
+    pushed = [(Fraction(c, sum(c for _, c in first)), m) for m, c in first]
+    others = [(Fraction(c, sum(c for _, c in second)), m) for m, c in second]
+    difference = others + [(-w, m) for w, m in pushed]
+    got, gap = _combine([[(w, f, m) for w, m in row] for row in (pushed, difference)])
+    assert got.values == expected_a
+    assert gap.values == tuple(b - a for a, b in zip(expected_a, expected_b))
 
 
 def test_synthetic_ladder_functions_have_two_knots():
@@ -327,6 +415,19 @@ def test_intertwining_multiplicity_mismatch(table):
         simulate_intertwining(sys_a, broken, v, 0, 3)
 
 
+def test_agreement_prefix_counts_positions_across_entry_boundaries():
+    m1, m2, m3 = (constant_map(Fraction(i, 4)) for i in range(3))
+    for a, b, agreed in (
+        (((m1, 2), (m1, 3)), ((m1, 5),), 5),
+        (((m1, 2), (m1, 3), (m2, 1)), ((m1, 4), (m3, 2)), 4),
+        (((m1, 3), (m2, 2)), ((m1, 2), (m3, 3)), 2),
+        (((m1, 3), (m2, 2)), ((m1, 3), (m2, 2)), 5),
+        (((m2, 3),), ((m1, 3),), 0),
+    ):
+        assert agreement_prefix(StageEntries(a), StageEntries(b)) == agreed
+        assert agreement_prefix(StageEntries(b), StageEntries(a)) == agreed
+
+
 def direct_push(stage, f):
     """(1/l) sum of f o entry, with no shortcut for constant f."""
     l = stage.total
@@ -396,22 +497,28 @@ def test_ladder_matches_its_direct_definition(data):
 
 
 def test_synthetic_ladder_pushes_grow_linearly_in_the_stages(monkeypatch):
+    import ahcert.tracesim as tracesim
+
     stages = 20
     sys_a, sys_b = synthetic_system_pair(
         sequences(make_geometric_family(6), stages), stages
     )
     v = GridFunction(64, ((0, 0), (64, 1)))
     calls = []
-    resample = GridFunction.resample
+    bends = tracesim._bends
 
-    def counting_resample(self, m):
-        calls.append(m)
-        return resample(self, m)
+    def counting_bends(pieces, idx):
+        calls.append(pieces)
+        return bends(pieces, idx)
 
-    monkeypatch.setattr(GridFunction, "resample", counting_resample)
+    # The fused push samples each composition f o m after finding its bends.
+    monkeypatch.setattr(tracesim, "_bends", counting_bends)
     res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    # the shared map, and one point evaluation per system
+    assert stages <= len(calls) <= 3 * stages
+    assert "functions" not in vars(res)  # the rungs are summed on first read
     assert len(res.functions) == stages + 1
-    assert len(calls) <= 4 * stages
+    assert res.functions is res.functions
 
 
 def test_step_above_its_bound_is_a_consistency_error(table, monkeypatch):
