@@ -5,11 +5,11 @@ rationals, stored as knots: the samples at a few grid indices, with every
 other sample on the segment between its neighbouring knots.  Pushing a
 function through one stage of a diagonal system averages its compositions
 with the stage's entry maps (piecewise-linear self-maps of the interval,
-or point evaluations).  Each map holds its pieces as integer affine forms
-in grid units, built once per grid size, and one fused pass samples every
-composition of a push only where it can bend, on integers, with one
-fraction per output knot: the cost follows the number of knots, not the
-grid size.  The quantities being checked (per-step gaps, rounding errors)
+or point evaluations).  Each map holds its pieces as integer affine forms,
+built once from its breakpoints, and one fused pass scales them to the
+grid and samples every composition of a push only where it can bend, on
+integers, with one fraction per output knot: the cost follows the number
+of knots, not the grid size.  The quantities being checked (per-step gaps, rounding errors)
 are exact rationals, all sup norms are grid sup norms, and every
 comparison against a stage-gap bound is a theorem about the grid
 functions.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -43,7 +43,6 @@ from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction
 
 DEFAULT_RESOLUTION = 2 ** 12
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 #: The most ladder stages ``trace-sim`` runs.  The synthetic ladder
 #: telescopes into one fused pass per stage (``simulate_intertwining``),
@@ -95,21 +94,17 @@ class PiecewiseLinearMap:
             raise InputError("map leaves [0, 1]")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_forms", tuple(forms))
-        object.__setattr__(self, "_grids", {})
 
     def _pieces(self, G: int) -> tuple:
-        """The pieces at resolution G, cached: the first grid index of each,
-        and each as (a, G e, c, floor and ceiling of its start G x0, and its
-        image range in grid units rounded outward)."""
-        grid = self._grids.get(G)
-        if grid is None:
-            pieces = tuple(
-                (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
-                 min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
-                for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
-            )
-            grid = self._grids[G] = ([piece[4] for piece in pieces], pieces)
-        return grid
+        """The pieces at resolution G: the first grid index of each, and each
+        as (a, G e, c, floor and ceiling of its start G x0, and its image
+        range in grid units rounded outward)."""
+        pieces = [
+            (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
+             min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
+            for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
+        ]
+        return [piece[4] for piece in pieces], pieces
 
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
@@ -123,7 +118,7 @@ class PiecewiseLinearMap:
 
 
 def identity_map() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap(((_ZERO, _ZERO), (_ONE, _ONE)))
+    return PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
 
 
 _IDENTITY = identity_map()
@@ -131,17 +126,17 @@ _IDENTITY = identity_map()
 
 def constant_map(c) -> PiecewiseLinearMap:
     c = as_fraction(c)
-    return PiecewiseLinearMap(((_ZERO, c), (_ONE, c)))
+    return PiecewiseLinearMap(((Fraction(0), c), (Fraction(1), c)))
 
 
-def contraction_map(center, factor=_HALF) -> PiecewiseLinearMap:
+def contraction_map(center, factor=Fraction(1, 2)) -> PiecewiseLinearMap:
     """x -> center + factor (x - center): contraction toward a point."""
     center = as_fraction(center)
     factor = as_fraction(factor)
     if not 0 <= factor < 1:
         raise InputError(f"contraction factor must be in [0, 1), got {factor}")
     lo = center * (1 - factor)
-    return PiecewiseLinearMap(((_ZERO, lo), (_ONE, lo + factor)))
+    return PiecewiseLinearMap(((Fraction(0), lo), (Fraction(1), lo + factor)))
 
 
 def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
@@ -236,7 +231,11 @@ class GridFunction:
         if i1 == pos:
             return v1
         i0, v0 = knots[j - 1]
-        return v0 + (v1 - v0) * (pos - i0) / (i1 - i0)
+        p0, q0, p1, q1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+        n, c = pos.numerator, pos.denominator  # pos = n / c
+        return Fraction(
+            p0 * q1 * (i1 * c - n) + p1 * q0 * (n - i0 * c), q0 * q1 * c * (i1 - i0)
+        )
 
     def interpolate(self, x) -> Fraction:
         """Value at x, linear between adjacent samples."""
@@ -253,11 +252,11 @@ class GridFunction:
         """The grid sup: every other sample lies between two knot values."""
         return max(abs(v) for _, v in self.knots)
 
-    def add(self, other: "GridFunction", w=1) -> "GridFunction":
-        return _combine([[(1, self, _IDENTITY), (w, other, _IDENTITY)]])[0]
+    def add(self, other: "GridFunction") -> "GridFunction":
+        return _combine([[(1, self, _IDENTITY), (1, other, _IDENTITY)]])[0]
 
     def sub(self, other: "GridFunction") -> "GridFunction":
-        return self.add(other, -1)
+        return _combine([[(1, self, _IDENTITY), (-1, other, _IDENTITY)]])[0]
 
     def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
@@ -412,12 +411,12 @@ def _combine(rows) -> List[GridFunction]:
         weights.append([(j, w.numerator, w.denominator) for j, w in summed.items() if w])
 
     indices = [[i for i, _ in g.knots] for g, _ in terms]
-    bends = (_bends(m._pieces(G)[1], idx) for (_, m), idx in zip(terms, indices))
+    grids = [m._pieces(G) for _, m in terms]
+    bends = (_bends(pieces, idx) for (_, pieces), idx in zip(grids, indices))
     candidates = sorted({0, G}.union(*bends))
     segments = {}  # (id(g), k) -> the values at knots k - 1 and k as (p0, p1, q)
     columns = []  # per pair and candidate: (segment, knot weights, denominator)
-    for (g, m), idx in zip(terms, indices):
-        starts, pieces = m._pieces(G)
+    for (g, _), idx, (starts, pieces) in zip(terms, indices, grids):
         column = []
         for i in candidates:
             a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
@@ -563,13 +562,26 @@ class StageEntries:
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
     """Number of leading entry positions (counted with multiplicity) that agree."""
-    ea, eb = a.entries, b.entries
-    ends_a, ends_b = list(accumulate(c for _, c in ea)), list(accumulate(c for _, c in eb))
-    agreed = ia = ib = 0  # entries ia and ib both cover position ``agreed``
-    while ia < len(ea) and ib < len(eb) and ea[ia][0] == eb[ib][0]:
-        agreed = min(ends_a[ia], ends_b[ib])
-        ia += ends_a[ia] == agreed
-        ib += ends_b[ib] == agreed
+    agreed = 0
+    ia = ib = 0
+    rema = remb = 0
+    ea = list(a.entries)
+    eb = list(b.entries)
+    while ia < len(ea) and ib < len(eb):
+        if rema == 0:
+            map_a, rema = ea[ia]
+        if remb == 0:
+            map_b, remb = eb[ib]
+        if map_a != map_b:
+            break
+        step = min(rema, remb)
+        agreed += step
+        rema -= step
+        remb -= step
+        if rema == 0:
+            ia += 1
+        if remb == 0:
+            ib += 1
     return agreed
 
 
@@ -579,15 +591,13 @@ class IntertwiningResult:
     horizon: int
     step_distances: tuple
     step_bounds: tuple
-    ladder: InitVar[tuple]  # (w_H, the steps w_n - w_(n+1) for n = start..H-1)
-
-    def __post_init__(self, ladder):
-        object.__setattr__(self, "_ladder", ladder)
+    #: (w_H, the steps w_n - w_(n+1) for n = start..H-1), all at stage H
+    ladder: tuple = field(repr=False)
 
     @cached_property
     def functions(self) -> tuple:
         """w_n for n = start..horizon at stage ``horizon``, summed on first read."""
-        top, steps = self._ladder
+        top, steps = self.ladder
         return tuple(accumulate(reversed(steps), GridFunction.add, initial=top))[::-1]
 
 
@@ -625,29 +635,39 @@ def simulate_intertwining(
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
     if horizon > len(system_a) or horizon > len(system_b):
         raise InputError("systems do not reach the requested horizon")
-    # u runs through u_n, v pushed from stage m to n under the first system;
-    # one pass over stage n's maps gives u_(n+1) = A_n u_n and the difference
-    # B_n u_n - u_(n+1), from which a map held by both stages cancels.
-    u, steps, deltas = v, [], []
+    deltas = []
     for n in range(m, horizon):
         a, b = system_a[n], system_b[n]
         if a.total != b.total:
-            raise InputError(f"stage {n} multiplicity mismatch: {a.total} != {b.total}")
+            raise InputError(
+                f"stage {n} multiplicity mismatch: {a.total} != {b.total}"
+            )
         deltas.append(Fraction(2 * (a.total - agreement_prefix(a, b)), a.total))
-        pushed = a.weights()
-        difference = b.weights() + [(-w, g) for w, g in pushed]
+
+    # u runs through u_n, from u_m = v.  One pass over stage n's maps gives
+    # u_(n+1) = A_n u_n and the difference B_n u_n - u_(n+1), from which a
+    # map held by both stages cancels.
+    # steps[n - m] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1)).
+    u = v
+    steps = []
+    for n in range(m, horizon):
+        pushed = system_a[n].weights()
+        difference = system_b[n].weights() + [(-w, g) for w, g in pushed]
         u, step = _combine([[(w, u, g) for w, g in row] for row in (pushed, difference)])
+        for j in range(n + 1, horizon):
+            step = system_b[j].push(step)
         steps.append(step)
 
-    scale = max(_ONE, v.sup_norm())
-    distances, bounds = [], []
-    for i, n in enumerate(range(m, horizon)):
-        # steps[i] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1))
-        for stage in system_b[n + 1 : horizon]:
-            steps[i] = stage.push(steps[i])
-        dist, bound = steps[i].sup_norm(), deltas[i] * scale
+    scale = max(Fraction(1), v.sup_norm())
+    distances = []
+    bounds = []
+    for i, (step, delta) in enumerate(zip(steps, deltas)):
+        dist = step.sup_norm()
+        bound = delta * scale
         if dist > bound:
-            raise ConsistencyError(f"step {n}: distance {dist} exceeds bound {bound}")
+            raise ConsistencyError(
+                f"step {m + i}: distance {dist} exceeds bound {bound}"
+            )
         distances.append(dist)
         bounds.append(bound)
     return IntertwiningResult(
@@ -674,13 +694,18 @@ def synthetic_system_pair(
     if stages > table.horizon:
         raise InputError(f"table horizon {table.horizon} < requested stages {stages}")
     anchors = van_der_corput(3 * stages)
-    sys_a, sys_b = [], []
+    sys_a = []
+    sys_b = []
     for n in range(stages):
         d, k = table.d[n + 1], table.k[n + 1]
-        shared = (contraction_map(anchors[3 * n], _HALF), d)
-        for system, anchor in ((sys_a, anchors[3 * n + 1]), (sys_b, anchors[3 * n + 2])):
-            entries = (shared, (constant_map(anchor), k)) if k else (shared,)
-            system.append(StageEntries(entries))
+        shared = contraction_map(anchors[3 * n], Fraction(1, 2))
+        entries_a = [(shared, d)]
+        entries_b = [(shared, d)]
+        if k:
+            entries_a.append((constant_map(anchors[3 * n + 1]), k))
+            entries_b.append((constant_map(anchors[3 * n + 2]), k))
+        sys_a.append(StageEntries(tuple(entries_a)))
+        sys_b.append(StageEntries(tuple(entries_b)))
     return sys_a, sys_b
 
 

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import random
 from fractions import Fraction
 from math import ceil
@@ -170,7 +171,6 @@ def test_knot_form_matches_dense_samples(data):
 @given(m=interval_maps(), G=st.integers(1, 4096), data=st.data())
 def test_integer_pieces_match_the_map(m, G, data):
     starts, pieces = m._pieces(G)
-    assert m._pieces(G) is m._pieces(G)  # built once per resolution
     ends = zip(m.breakpoints, m.breakpoints[1:])
     for (a, b, c, floor, ceiling, lo, hi), ((x0, y0), (x1, y1)) in zip(pieces, ends):
         assert c > 0
@@ -415,19 +415,6 @@ def test_intertwining_multiplicity_mismatch(table):
         simulate_intertwining(sys_a, broken, v, 0, 3)
 
 
-def test_agreement_prefix_counts_positions_across_entry_boundaries():
-    m1, m2, m3 = (constant_map(Fraction(i, 4)) for i in range(3))
-    for a, b, agreed in (
-        (((m1, 2), (m1, 3)), ((m1, 5),), 5),
-        (((m1, 2), (m1, 3), (m2, 1)), ((m1, 4), (m3, 2)), 4),
-        (((m1, 3), (m2, 2)), ((m1, 2), (m3, 3)), 2),
-        (((m1, 3), (m2, 2)), ((m1, 3), (m2, 2)), 5),
-        (((m2, 3),), ((m1, 3),), 0),
-    ):
-        assert agreement_prefix(StageEntries(a), StageEntries(b)) == agreed
-        assert agreement_prefix(StageEntries(b), StageEntries(a)) == agreed
-
-
 def direct_push(stage, f):
     """(1/l) sum of f o entry, with no shortcut for constant f."""
     l = stage.total
@@ -519,6 +506,9 @@ def test_synthetic_ladder_pushes_grow_linearly_in_the_stages(monkeypatch):
     assert "functions" not in vars(res)  # the rungs are summed on first read
     assert len(res.functions) == stages + 1
     assert res.functions is res.functions
+    # the dataclass helpers see the ladder the rungs are summed from
+    assert dataclasses.replace(res) == res
+    assert dataclasses.replace(res).functions == res.functions
 
 
 def test_step_above_its_bound_is_a_consistency_error(table, monkeypatch):
