@@ -151,8 +151,13 @@ def cmd_params(args):
         check_constraints,
         decided=lambda r: r.all_passed or r.exactly_refuted,
     )
+    sections = {}
     if constraints.exactly_refuted:
         verdict = VERDICT_REFUTED
+    elif constraints.table.horizon_limited:
+        # Without a tail majorant no limit constraint holds beyond the horizon.
+        verdict = VERDICT_INCONCLUSIVE
+        sections["reason"] = HORIZON_LIMITED_REASON
     else:
         verdict = VERDICT_CERTIFIED if constraints.all_passed else VERDICT_INCONCLUSIVE
     return cfg, report(
@@ -161,6 +166,7 @@ def cmd_params(args):
         family=family.description,
         constants=table_json(constraints.table, include_sequences=True),
         constraints=constraints,
+        **sections,
     )
 
 

@@ -223,8 +223,13 @@ def geometric_ratio_majorant(d: Sequence[int], k: Sequence[int], N: int):
     """
     if N < 2:
         raise InputError(f"majorant ratio base must be >= 2, got {N}")
+    power = 1  # N^j
     for j in range(1, len(d)):
-        if evaluation_fraction(j, d[j], k[j]) > Fraction(1, N ** j):
+        power *= N
+        l_j = d[j] + k[j]
+        if l_j == 0:
+            raise _no_summands(j)
+        if k[j] * power > l_j:  # k(j)/l(j) > N^-j, on integers
             raise InputError(
                 f"k({j})/l({j}) exceeds {N}^-{j}; geometric majorant unsound"
             )

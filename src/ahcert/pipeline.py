@@ -6,15 +6,17 @@ key order, so identical configurations produce byte-identical reports.
 The rendering rule: every rational is "p/q" in lowest terms; indices and
 counts (horizons, stages, bits, generator counts) are JSON integers; the
 ranks ``N1``/``N2`` and the entries of the sequences d, k, l, r, s, t are
-"p/1".
+"p/1".  The canonical text is the one ``json.dumps(payload,
+sort_keys=True, indent=2)`` gives, plus a newline.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, fields, is_dataclass, replace
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, methodcaller
 from typing import Optional
 
@@ -165,15 +167,41 @@ def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
         out["kappa_lower_bound"] = w.kappa_lb
         out["omega_prime_upper_bound"] = w.omega_prime_ub
         out["kappa_lower_bound_vacuous"] = table.kappa_lb_vacuous
+    out = to_json(out)
     if include_sequences:
-        for name in ("d", "k", "l", "r", "s", "t"):
+        for name in ("d", "k", "l"):
             out[name] = sequence_json(getattr(table, name))
-    return to_json(out)
+        out.update(stage_listings(table))
+    return out
 
 
 def sequence_json(values) -> list:
     """Sequence entries, integers included, rendered "p/q"."""
     return [format_rational(x) for x in values]
+
+
+#: Integer arithmetic in ``decimal``: no digit may be lost, so rounding
+#: raises instead of printing a wrong entry.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
+def stage_listings(table: SequenceTable) -> dict:
+    """Every stage of r, s and t, rendered "p/1".
+
+    The recursions r <- l r, s <- d s, t <- d t + k (r - t) run in
+    ``decimal``, whose integers print in time linear in their digits,
+    where ``str`` of an int is quadratic and refuses more than 4300.
+    """
+    r, s, t = map(Decimal, table.stage(0))
+    rs, ss, ts = [f"{r}/1"], [f"{s}/1"], [f"{t}/1"]
+    with localcontext(_EXACT):
+        for j in range(1, table.horizon + 1):
+            d, k, l = map(Decimal, (table.d[j], table.k[j], table.l[j]))
+            r, s, t = l * r, d * s, d * t + k * (r - t)
+            rs.append(f"{r}/1")
+            ss.append(f"{s}/1")
+            ts.append(f"{t}/1")
+    return {"r": rs, "s": ss, "t": ts}
 
 
 def report(cfg: dict, verdict: str, **sections) -> dict:
@@ -194,9 +222,10 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 #: starting witnesses off directed-rounding chains of H steps on numbers of
 #: about H log2 N bits, and builds the exact horizon values (products of H
 #: such integers, about M(H^2) log H bit operations, M(n): one n-bit
-#: multiplication) only when they are read.  The cap stays because
-#: ``params`` lists every stage of r, s and t, about H^3 log2 N bits; see
-#: README for the timings behind it.
+#: multiplication) only when they are read.  ``params`` lists every stage
+#: of r, s and t in time linear in the report's bytes (``stage_listings``),
+#: but the report holds about H^3 log10 N / 2 decimal digits, 103 MB at N 6
+#: and H 640, and the cap is what bounds that size; see README.
 MAX_HORIZON = 640
 
 DEFAULT_CONFIG = {
@@ -454,5 +483,56 @@ def _decide(table: SequenceTable, rho):
 
 
 def render_report(payload: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
+    written in one pass into one list: ``json.dumps`` runs its pure-Python
+    encoder whenever it indents.  Strings go through the same C escape,
+    ints through ``int.__repr__`` (so an int past the 4300-digit limit
+    raises ``ValueError`` as there); any value but a ``str``, ``int``,
+    ``bool``, ``None``, list, tuple or dict with ``str`` keys raises
+    ``TypeError``, floats included.
+    """
+    parts = []
+    _write(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit the JSON text of ``value``; ``newline`` starts its lines."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _write(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            # The C escape raises TypeError for a key that is not a str.
+            emit(separator + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

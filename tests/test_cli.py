@@ -1,10 +1,12 @@
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 
 from ahcert.cli import main
+from ahcert.pipeline import HORIZON_LIMITED_REASON
 from ahcert.rationals import as_fraction, format_rational
 
 
@@ -19,6 +21,8 @@ def run_json(capsys, *argv):
     assert out, f"no stdout (stderr: {err})"
     return code, json.loads(out)
 
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -284,6 +288,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["embedding_ranks"][3]["min_rank"] == 6
+
+
+def test_params_lists_a_large_horizon_in_time_linear_in_its_bytes(capsys):
+    # 12 976 730 bytes of r, s and t; str() of each int took 4 s in total.
+    start = time.perf_counter()
+    code = main(["params", "--N", "6", "--horizon", "320"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and len(out) == 12_976_730
+    assert elapsed < 2.0, f"params --N 6 --horizon 320 took {elapsed:.2f} s"
+
+
+def test_params_without_a_tail_majorant_is_inconclusive(capsys):
+    spec = os.path.join(GOLDEN, "family_six_no_tail.json")
+    for command in ("params", "certify"):
+        code, report = run_json(capsys, command, "--spec", spec, "--horizon", "5")
+        assert code == 2 and report["verdict"] == "InconclusiveAtHorizon", command
+    code, report = run_json(capsys, "params", "--spec", spec, "--horizon", "5")
+    assert report["reason"] == HORIZON_LIMITED_REASON
+    assert report["constraints"]["all_passed"] is True
 
 
 def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):

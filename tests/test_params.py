@@ -389,5 +389,35 @@ def test_geometric_ratio_majorant_verifies_supplied_range():
     tail = geometric_ratio_majorant(d, k, 6)
     assert tail(2) == Fraction(1, 180)
     # k(2)/l(2) = 10/46 > 1/36 breaks the per-term bound
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"k\(2\)/l\(2\) exceeds 6\^-2"):
         geometric_ratio_majorant([1, 6, 36], [0, 1, 10], 6)
+    # k(1)/l(1) = 1/6 sits on the bound; l(2) = 0 is refused before the bound.
+    geometric_ratio_majorant([1, 5], [0, 1], 6)
+    with pytest.raises(InputError, match=r"l\(2\) = 0"):
+        geometric_ratio_majorant([1, 5, 0, 1], [0, 1, 0, 9], 6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(_entries, _entries), min_size=1, max_size=12),
+    st.integers(2, 13),
+)
+def test_geometric_ratio_majorant_is_the_per_stage_fraction_bound(pairs, N):
+    from ahcert.params import geometric_ratio_majorant
+
+    d = [1] + [dj for dj, _ in pairs]
+    k = [0] + [kj for _, kj in pairs]
+    expected = None  # the first refusal of the per-stage Fraction test
+    for j in range(1, len(d)):
+        if d[j] + k[j] == 0:
+            expected = f"l({j}) = 0"
+            break
+        if Fraction(k[j], d[j] + k[j]) > Fraction(1, N ** j):
+            expected = f"k({j})/l({j}) exceeds {N}^-{j}"
+            break
+    if expected is None:
+        assert geometric_ratio_majorant(d, k, N)(3) == Fraction(1, N ** 3 * (N - 1))
+    else:
+        with pytest.raises(InputError) as refused:
+            geometric_ratio_majorant(d, k, N)
+        assert str(refused.value).startswith(expected)

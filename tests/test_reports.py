@@ -1,15 +1,24 @@
 """Golden reports: every subcommand re-renders its committed report byte
-for byte, and the one serializer renders the report's types."""
+for byte, the one serializer renders the report's types, and the writer
+gives the text ``json.dumps(sort_keys=True, indent=2)`` gives."""
 
 import json
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ahcert.cli import main
-from ahcert.params import LinkCheck, make_geometric_family, sequences
-from ahcert.pipeline import VERDICT_EXIT, to_json
+from ahcert.params import (
+    LinkCheck,
+    make_explicit_family,
+    make_geometric_family,
+    sequences,
+)
+from ahcert.pipeline import VERDICT_EXIT, render_report, table_json, to_json
+from ahcert.rationals import format_rational
 from ahcert.rcbounds import RcLowerCertificate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -87,3 +96,84 @@ def test_to_json_drops_uncompared_fields_and_renders_ranks():
 def test_to_json_refuses_an_unknown_type():
     with pytest.raises(TypeError):
         to_json(1.5)
+
+
+def test_every_golden_re_renders_from_its_parsed_payload():
+    for name in CASES:
+        with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert render_report(json.loads(text)) == text, name
+
+
+# Any code point, lone surrogates and control characters included.
+_text = st.text(st.characters(exclude_categories=()), max_size=12)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10 ** 600), 10 ** 600)
+    | _text
+)
+_payloads = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_text, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_payloads)
+@example({"\ud800 key\x00": ["\udfff", "\x1f\u2028\u00e9\U0001f600", {}], "": [[], ()]})
+@example({"b": {"d": -(10 ** 4299), "c": [True, False, None]}, "a": 0})
+def test_render_report_is_the_indented_sorted_dumps(payload):
+    assert render_report(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"a": 1.5}, [0.0], {1: "x"}, {"a": {None: 1}}, {"a": Fraction(1, 2)}, {"a": {1, 2}}],
+)
+def test_render_report_refuses_floats_non_str_keys_and_other_types(payload):
+    with pytest.raises(TypeError):
+        render_report(payload)
+
+
+def test_render_report_keeps_the_int_digit_limit():
+    payload = {"a": [10 ** 4300]}  # 4301 digits
+    with pytest.raises(ValueError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(ValueError):
+        render_report(payload)
+
+
+def _assert_listings_match_the_stages(table):
+    out = table_json(table, include_sequences=True)
+    for n in range(table.horizon + 1):
+        stage = table.stage(n)
+        got = (out["r"][n], out["s"][n], out["t"][n])
+        assert got == tuple(format_rational(x) for x in stage), n
+    return out
+
+
+_entries = st.one_of(st.integers(0, 4), st.integers(0, 60), st.integers(0, 10 ** 12))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(
+    st.tuples(_entries, _entries).filter(lambda p: p != (0, 0)),
+    min_size=1, max_size=30,
+))
+@example([(0, 3), (5, 0), (0, 1), (7, 0), (6, 1)])  # stages with d = 0 and k = 0
+def test_stage_listings_match_the_tabulated_stages(pairs):
+    d = [1] + [dj for dj, _ in pairs]
+    k = [0] + [kj for _, kj in pairs]
+    _assert_listings_match_the_stages(sequences(make_explicit_family(d, k), len(pairs)))
+
+
+def test_stage_listings_pass_the_str_digit_limit():
+    out = _assert_listings_match_the_stages(sequences(make_geometric_family(12), 100))
+    assert all(len(out[name][-1]) > 4300 for name in ("r", "s", "t"))
