@@ -104,17 +104,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  Malformed JSON, and an
+    integer past the interpreter's int-to-str digit limit (a plain
+    ValueError from ``json.load``), are input errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
 def load_config(args: argparse.Namespace) -> dict:
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise InputError("config file must contain a JSON object")
         config.update(loaded)
     if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _read_json(args.spec)
         if not isinstance(spec, dict):
             raise InputError("family spec file must contain a JSON object")
         refuse_unknown_keys("spec", spec, SPEC_KEYS)
@@ -291,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return emit(*args.handler(args))
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConsistencyError as exc:

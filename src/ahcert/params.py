@@ -42,10 +42,12 @@ Numerica 19, 2010).  When both ends round to the same dyadic, that is
 the correctly rounded witness; only when they do not (an exact value on
 the witness grid, say) is the exact value read (Ziv, "Fast evaluation of
 elementary mathematical functions with correctly rounded last bit", ACM
-TOMS 17(3), 1991).  p only sets how often that happens.  On a shared
-2-vCPU VM under Python 3.11 this takes an in-process
-``certify --N 12 --horizon 640`` from 255 ms, when the product trees
-below were built on every call, to 2.5 ms.
+TOMS 17(3), 1991).  p only sets how often that happens.  Each step of a
+product subtracts a short quotient rather than multiplying by d(j)
+(``_chain_ends``).  On a shared 2-vCPU VM under Python 3.11 an
+in-process ``certify --N 12 --horizon 640`` takes 1.1-1.5 ms, against
+3.4-5.5 ms when each step multiplied by d(j) and divided by l(j), and
+255 ms when the product trees below were built on every call.
 
 The exact bounds read four horizon values, computed on first read and
 shared by every refinement of the table (``HorizonValues``): s(H) is a
@@ -71,6 +73,8 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, compress, count, repeat
+from operator import add, ge, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
@@ -96,6 +100,8 @@ class ParamFamily:
     ``tail_majorant(n)`` must return an exact rational upper bound on
     sum_{j>n} k(j)/(d(j)+k(j)), nonincreasing in n.  ``length`` is the
     largest index for which d and k are defined (None = unbounded).
+    ``columns_of(n)``, if given, returns the tuples d(0..n) and k(0..n)
+    at once (``columns``).
     """
 
     kind: str
@@ -104,6 +110,7 @@ class ParamFamily:
     tail_majorant: Optional[Callable[[int], Fraction]] = None
     length: Optional[int] = None
     description: dict = field(default_factory=dict)
+    columns_of: Optional[Callable[[int], tuple]] = None
 
     def d(self, n: int) -> int:
         self._check_index(n)
@@ -115,6 +122,14 @@ class ParamFamily:
 
     def l(self, n: int) -> int:
         return self.d(n) + self.k(n)
+
+    def columns(self, n: int) -> tuple:
+        """(d, k): the tuples d(0..n) and k(0..n)."""
+        self._check_index(n)
+        if self.columns_of is not None:
+            return self.columns_of(n)
+        stages = range(n + 1)
+        return tuple(map(self.d_of, stages)), tuple(map(self.k_of, stages))
 
     def tail(self, n: int) -> Fraction:
         if self.tail_majorant is None:
@@ -152,6 +167,10 @@ def make_geometric_family(N: int) -> ParamFamily:
     def k_of(n: int) -> int:
         return 0 if n == 0 else 1
 
+    def columns_of(n: int) -> tuple:
+        # N^j as a running product: one short multiplication a stage.
+        return tuple(accumulate(repeat(N, n), mul, initial=1)), (0,) + (1,) * n
+
     def tail(n: int) -> Fraction:
         if n < 0:
             raise InputError(f"tail majorant index must be >= 0, got {n}")
@@ -164,6 +183,7 @@ def make_geometric_family(N: int) -> ParamFamily:
         tail_majorant=tail,
         length=None,
         description={"kind": GEOMETRIC, "N": N},
+        columns_of=columns_of,
     )
 
 
@@ -200,6 +220,7 @@ def make_explicit_family(
         tail_majorant=tail_majorant,
         length=len(d) - 1,
         description=desc,
+        columns_of=lambda n: (tuple(d[: n + 1]), tuple(k[: n + 1])),
     )
 
 
@@ -301,12 +322,12 @@ def _cross_compare(w: Fraction, rel: str, num: int, den: int) -> bool:
     return _REL_OPS[rel](w.numerator * den, num * w.denominator)
 
 
-def _round(num: int, den: int, bits: int, up: bool) -> Fraction:
-    """num/den (den > 0) rounded to ``bits`` fractional bits, up or down,
-    by one floor division."""
+def _scaled(num: int, den: int, bits: int, up: bool) -> int:
+    """num/den (den > 0) times 2^bits, rounded up or down, by one floor
+    division: the numerator of its witness over 2^bits."""
     if up:
-        return Fraction(-((-num << bits) // den), 1 << bits)
-    return Fraction((num << bits) // den, 1 << bits)
+        return -((-num << bits) // den)
+    return (num << bits) // den
 
 
 class HorizonValues:
@@ -375,11 +396,14 @@ class Enclosure:
         rel = ">=" if self.round_up else "<="
         if ends is not None:
             lo, hi, den = ends
-            w = _round(lo, den, bits, self.round_up)
-            if w == _round(hi, den, bits, self.round_up):
-                return LinkCheck(self.name, w, rel, self.side, True, self)
+            w = _scaled(lo, den, bits, self.round_up)
+            if w == _scaled(hi, den, bits, self.round_up):
+                return LinkCheck(self.name, Fraction(w, 1 << bits), rel, self.side, True, self)
         num, den = self.num, self.den
-        w = Fraction(num, den) if bits is None else _round(num, den, bits, self.round_up)
+        if bits is None:
+            w = Fraction(num, den)
+        else:
+            w = Fraction(_scaled(num, den, bits, self.round_up), 1 << bits)
         return LinkCheck(self.name, w, rel, self.side, _cross_compare(w, rel, num, den), self)
 
 
@@ -554,10 +578,8 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     H = horizon
-    family._check_index(H)
-    d = tuple(family.d_of(n) for n in range(H + 1))
-    k = tuple(family.k_of(n) for n in range(H + 1))
-    l = tuple(dn + kn for dn, kn in zip(d, k))
+    d, k = family.columns(H)
+    l = tuple(map(add, d, k))
     if 0 in l[1:]:
         raise _no_summands(l.index(0, 1))
     sum_side = f"sum_{{j=2..{H}}} k(j)/l(j)"
@@ -597,11 +619,11 @@ def sequences(family: ParamFamily, horizon: int) -> SequenceTable:
         horizon_limited=family.horizon_limited,
         enclosures=enclosures,
         stages=[Stage(l[0], d[0], 0)],
-        **_rounded(enclosures, bits, _chain_ends(d, k, l, a, b, bits)),
+        **_rounded(enclosures, bits, _chain_ends(k, l, a, b, bits)),
     )
 
 
-def _chain_ends(d: tuple, k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
+def _chain_ends(k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
     """Constant name -> (lo, hi, den) with lo/den <= the exact value <= hi/den,
     from three directed-rounding chains at p fractional bits.
 
@@ -610,25 +632,43 @@ def _chain_ends(d: tuple, k: tuple, l: tuple, a: int, b: int, bits: int) -> dict
     and its ends enclose the exact value whatever p is.  p leaves
     H.bit_length() + _GUARD bits below the witness precision for that
     widening, so the ends rarely round apart.
+
+    A step multiplies an end x (about p bits) by d(j)/l(j) = 1 - k(j)/l(j)
+    or (d(j) - k(j))/l(j) = 1 - 2 k(j)/l(j), and d(j) has about j log2 N
+    bits in the geometric family.  So the step subtracts a quotient
+    instead: floor(x d/l) = x - ceil(x k/l) and ceil(x d/l) = x -
+    floor(x k/l), since floor(x - y) = x - ceil(y) for integer x.  These
+    are the same integers, but the dividend x k has p + bitlen(k) bits,
+    and the quotient, at most x in size, shrinks to a few bits as l(j)
+    grows.  When 2 k(j) > l(j) the factor is negative and swaps the ends;
+    then |d(j) - k(j)| <= k(j), so the product stays as short.
     """
-    H = len(d) - 1
-    p = bits + H.bit_length() + _GUARD
+    p = bits + (len(k) - 1).bit_length() + _GUARD
     one = 1 << p
     # kappa_ub = s(H)/r(H) = prod_{1<=j<=H} d(j)/l(j), as d(0) = l(0) = 1;
     # each factor is in [0, 1].
     s_lo = s_hi = one
     # q = prod_{1<=j<=H} (d(j) - k(j))/l(j) in [-1, 1], a signed interval.
     q_lo = q_hi = one
-    for j in range(1, H + 1):
-        dj, lj = d[j], l[j]
-        s_lo = s_lo * dj // lj
-        s_hi = -(-s_hi * dj // lj)
-        c = dj - k[j]
-        lo, hi = (q_lo * c, q_hi * c) if c >= 0 else (q_hi * c, q_lo * c)
-        q_lo, q_hi = lo // lj, -(-hi // lj)
-    # omega_prime_partial = sum_{j=2..H} k(j)/l(j).
-    w_lo = sum((k[j] << p) // l[j] for j in range(2, H + 1))
-    w_hi = -sum((-k[j] << p) // l[j] for j in range(2, H + 1))
+    # omega_prime_partial = sum_{j=2..H} k(j)/l(j): each sum starts at
+    # minus its j = 1 term, which the loop adds back.
+    w_lo = -((k[1] << p) // l[1])
+    w_hi = (-k[1] << p) // l[1]
+    # Ceilings are taken as ceil(x/l) = (x - 1)//l + 1: a dividend that
+    # stays nonnegative spares the floor division its adjustment by l.
+    for kj, lj in zip(k[1:], l[1:]):
+        s_lo -= (s_lo * kj - 1) // lj + 1
+        s_hi -= s_hi * kj // lj
+        k2 = 2 * kj
+        if k2 <= lj:
+            q_lo -= (q_lo * k2 - 1) // lj + 1
+            q_hi -= q_hi * k2 // lj
+        else:
+            c = lj - k2  # d(j) - k(j) < 0
+            q_lo, q_hi = q_hi * c // lj, (q_lo * c - 1) // lj + 1
+        x = kj << p
+        w_lo += x // lj
+        w_hi += (x - 1) // lj + 1
     # kappa_lb = kappa_ub (b - a)/b, exactly; b - a < 0 swaps the ends.
     c = b - a
     kappa_lb = (s_lo * c, s_hi * c) if c >= 0 else (s_hi * c, s_lo * c)
@@ -841,7 +881,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     entries = []
 
     # k(n) < d(n) at every tabulated stage.  Violations are exact.
-    bad = [n for n in range(horizon + 1) if not table.k[n] < table.d[n]]
+    bad = list(compress(count(), map(ge, table.k, table.d)))  # n with k(n) >= d(n)
     witness_n = bad[0] if bad else horizon
     entries.append(
         ConstraintEntry(
@@ -877,6 +917,13 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
             name, STATUS_INCONCLUSIVE, evidence_limit, tuple(pass_checks), note
         )
 
+    # Each rational below is built once and shared by every check that
+    # records it.
+    omega = table.omega
+    two_omega = 2 * omega
+    lower_gap = 2 * w.kappa_lb - 1
+    upper_gap = 2 * w.kappa_ub - 1
+
     # kappa > 1/2, attempted with kappa_lb, refuted with the envelope.
     entries.append(
         limit_entry(
@@ -887,43 +934,40 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     )
 
     # omega' < omega < 1/2.  omega is exact; omega' needs both bounds.
-    omega_checks = [
-        check("omega_prime_ub < omega", w.omega_prime_ub, "<", table.omega),
-        check("omega < 1/2", table.omega, "<", half),
-    ]
-    omega_fail_checks = [
-        check(
-            "omega_prime_partial < omega",
-            w.omega_prime_partial,
-            "<",
-            table.omega,
-        ),
-        check("omega < 1/2", table.omega, "<", half),
-    ]
-    entries.append(limit_entry("omega_window", omega_checks, omega_fail_checks))
+    omega_below_half = check("omega < 1/2", omega, "<", half)
+    entries.append(
+        limit_entry(
+            "omega_window",
+            [check("omega_prime_ub < omega", w.omega_prime_ub, "<", omega), omega_below_half],
+            [
+                check("omega_prime_partial < omega", w.omega_prime_partial, "<", omega),
+                omega_below_half,
+            ],
+        )
+    )
 
     # 2*kappa - 1 > 2*omega.
     entries.append(
         limit_entry(
             "comparison_gap",
-            [check("2*kappa_lb - 1 > 2*omega", 2 * w.kappa_lb - 1, ">", 2 * table.omega)],
-            [check("2*kappa_ub - 1 > 2*omega", 2 * w.kappa_ub - 1, ">", 2 * table.omega)],
+            [check("2*kappa_lb - 1 > 2*omega", lower_gap, ">", two_omega)],
+            [check("2*kappa_ub - 1 > 2*omega", upper_gap, ">", two_omega)],
         )
     )
 
     # 1/(1 - 2*omega) < (2*kappa - 1)/(2*omega): the separation margin.
-    if table.omega >= half or table.omega <= 0:
+    if omega >= half or omega <= 0:
         entries.append(
             ConstraintEntry(
                 name="separation_margin",
                 status=STATUS_FAIL,
                 evidence=EVIDENCE_EXACT,
-                checks=(check("0 < omega < 1/2", table.omega, "<", half),),
+                checks=(check("0 < omega < 1/2", omega, "<", half),),
                 note="margin undefined unless 0 < omega < 1/2",
             )
         )
     else:
-        upper = 1 / (1 - 2 * table.omega)
+        upper = 1 / (1 - two_omega)
         entries.append(
             limit_entry(
                 "separation_margin",
@@ -932,7 +976,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_lb - 1)/(2*omega)",
                         upper,
                         "<",
-                        (2 * w.kappa_lb - 1) / (2 * table.omega),
+                        lower_gap / two_omega,
                     )
                 ],
                 [
@@ -940,7 +984,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_ub - 1)/(2*omega)",
                         upper,
                         "<",
-                        (2 * w.kappa_ub - 1) / (2 * table.omega),
+                        upper_gap / two_omega,
                     )
                 ],
             )

@@ -59,17 +59,26 @@ def format_rational(value) -> str:
 #: at most this many bits in full, larger ones by their leading decimals.
 _BRIEF_BITS = 128
 
+#: The interpreter's default int-to-str digit limit: integer parts up to
+#: this long are shown in full, as str() shows them.
+_BRIEF_DIGITS = 4300
+
 
 def brief(value) -> str:
     """``value`` for an error message: "p/q" when short, else "~" and its
     first twelve decimals (by integer division), so that a message never
-    carries the thousands of digits of a horizon^2-bit rational."""
+    carries the thousands of digits of a horizon^2-bit rational.  An
+    integer part of more than _BRIEF_DIGITS digits is shown by its
+    leading twelve digits and its digit count."""
     f = as_fraction(value)
     if f.numerator.bit_length() + f.denominator.bit_length() <= _BRIEF_BITS:
         return format_rational(f)
     scaled = abs(f.numerator) * 10 ** 12 // f.denominator
     sign = "-" if f < 0 else ""
-    return f"~{sign}{scaled // 10 ** 12}.{scaled % 10 ** 12:012d}"
+    whole = _decimal(scaled // 10 ** 12)
+    if len(whole) > _BRIEF_DIGITS:
+        return f"~{sign}{whole[:12]}... ({len(whole)} digits)"
+    return f"~{sign}{whole}.{scaled % 10 ** 12:012d}"
 
 
 #: Integers up to this bit length (about 600 digits) go through str()

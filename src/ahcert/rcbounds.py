@@ -140,22 +140,23 @@ class SeparationReport:
     checks: tuple
 
 
-def _find_delta(rho: Fraction, kappa_lb: Fraction, omega: Fraction) -> Fraction:
-    """Largest dyadic delta in (0, omega) with rho < (1-delta)(2k-1)/(2w).
+def _find_delta(rho: Fraction, target: Fraction, omega: Fraction) -> Fraction:
+    """Largest dyadic delta in (0, omega) with rho < (1-delta) target, where
+    target = (2 kappa_lb - 1)/(2 omega).
 
     Bisecting the admissible interval by denominator: at each power-of-two
     denominator we try the largest candidate below the bound, and the
     first denominator admitting one wins (ties broken toward larger
     delta by construction).
     """
-    bound = min(omega, 1 - (2 * rho * omega) / (2 * kappa_lb - 1))
+    bound = min(omega, 1 - rho / target)
     denom = 2
     while denom <= DELTA_DENOMINATOR_CAP:
         # largest p/denom strictly below bound
         p = (bound.numerator * denom - 1) // bound.denominator
         if p >= 1:
             delta = Fraction(p, denom)
-            if 0 < delta < omega and rho < (1 - delta) * (2 * kappa_lb - 1) / (2 * omega):
+            if 0 < delta < omega and rho < (1 - delta) * target:
                 return delta
         denom *= 2
     raise InconclusiveAtHorizon(
@@ -198,37 +199,37 @@ def certify_rc_lower(
             "certified kappa bound does not exceed 1/2",
         )
     if not 0 < omega < half:
-        raise InputError(f"omega = {omega} outside (0, 1/2)")
-    target = (2 * kappa_lb - 1) / (2 * omega)
+        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
+    # Each rational below is built once and shared by every check that
+    # records it.
+    two_kappa = 2 * kappa_lb
+    two_omega = 2 * omega
+    target = (two_kappa - 1) / two_omega
     if not 1 < rho < target:
         message = (
             f"rho must lie strictly between 1 and {brief(target)} (certified), "
             f"got {brief(rho)}"
         )
-        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
+        above = (2 * (kappa_lb + table.ulp) - 1) / two_omega
         raise _refusal(table, rho <= 1 or rho >= above, message)
 
     beta = rho.denominator
-    delta = _find_delta(rho, kappa_lb, omega)
-    epsilon = delta / (2 * rho * (1 - delta))
+    delta = _find_delta(rho, target, omega)
+    co_delta = 1 - delta
+    epsilon = delta / (2 * rho * co_delta)
 
     checks = [
         check("0 < delta", 0, "<", delta),
         check("delta < omega", delta, "<", omega),
-        check(
-            "rho < (1-delta)(2 kappa_lb - 1)/(2 omega)",
-            rho,
-            "<",
-            (1 - delta) * (2 * kappa_lb - 1) / (2 * omega),
-        ),
-        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==",
-              delta / (2 * rho * (1 - delta))),
+        check("rho < (1-delta)(2 kappa_lb - 1)/(2 omega)", rho, "<", co_delta * target),
+        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==", epsilon),
     ]
 
     # Stage from which the ratio envelope is epsilon-flat: beyond n0,
     # every later ratio stays above (1 - epsilon) times the current one.
     # The scan cross-multiplies, so no s(m)/r(m) is ever reduced.
-    flat = kappa_lb / (1 - epsilon)
+    co_epsilon = 1 - epsilon
+    flat = kappa_lb / co_epsilon
     n0 = None
     for cand in range(1, horizon + 1):
         at = table.stage(cand)
@@ -244,11 +245,14 @@ def certify_rc_lower(
             f"kappa_lb > (1-eps) s({n0})/r({n0})",
             kappa_lb,
             ">",
-            (1 - epsilon) * Fraction(at.s, at.r),
+            co_epsilon * Fraction(at.s, at.r),
         )
     )
 
-    window_gap = 2 * kappa_lb * (1 - delta) - (1 - omega + 2 * rho * omega)
+    # The window (1 - omega + 2 rho omega, 2 kappa_lb (1-delta)) for N1/r(n).
+    window_lo = 1 - omega + rho * two_omega
+    window_hi = two_kappa * co_delta
+    window_gap = window_hi - window_lo
     checks.append(check("window is nonempty", window_gap, ">", 0))
 
     n = None
@@ -264,49 +268,49 @@ def certify_rc_lower(
     checks.append(check(f"beta/r({n}) < window gap", Fraction(beta, rn), "<", window_gap))
 
     # Least multiple of beta strictly above the window's lower edge.
-    lo = (1 - omega + 2 * rho * omega) * rn
-    hi = 2 * kappa_lb * (1 - delta) * rn
-    N1 = beta * (lo.numerator // (lo.denominator * beta) + 1)
+    N1 = beta * (window_lo.numerator * rn // (window_lo.denominator * beta) + 1)
     N2_frac = rho * N1
     if N2_frac.denominator != 1:
         raise InputError(f"rho * N1 = {N2_frac} is not integral")
     N2 = N2_frac.numerator
-    checks.append(check("N1/r(n) > 1 - omega + 2 rho omega", Fraction(N1, rn), ">", lo / rn))
-    checks.append(check("N1/r(n) < 2 kappa_lb (1-delta)", Fraction(N1, rn), "<", hi / rn))
-    checks.append(check("rho N1 == N2", rho * N1, "==", N2))
+    n1_share = Fraction(N1, rn)
+    checks.append(check("N1/r(n) > 1 - omega + 2 rho omega", n1_share, ">", window_lo))
+    checks.append(check("N1/r(n) < 2 kappa_lb (1-delta)", n1_share, "<", window_hi))
+    checks.append(check("rho N1 == N2", N2_frac, "==", N2))
 
     # Trace side: the normalized gap at the two extreme mixtures.
     tr = Fraction(tn, rn)
+    co_tr = 1 - tr
     checks.append(check("t(n) > 0", tn, ">", 0))
     checks.append(check("r(n) - t(n) > 0", rn - tn, ">", 0))
-    endpoint1 = (Fraction(N1, rn) - (1 - tr)) / tr
-    endpoint0 = (Fraction(N2, rn) - tr) / (1 - tr)
+    endpoint1 = (n1_share - co_tr) / tr
+    endpoint0 = (Fraction(N2, rn) - tr) / co_tr
     checks.append(check("endpoint at full X mixture > rho", endpoint1, ">", rho))
     checks.append(check("endpoint at full Y mixture > rho", endpoint0, ">", rho))
     for lam in intermediate_lambdas:
         lam = as_fraction(lam)
         if not 0 <= lam <= 1:
             raise InputError(f"mixture parameter {lam} outside [0, 1]")
-        denom = lam * tr + (1 - lam) * (1 - tr)
+        denom = lam * tr + (1 - lam) * co_tr
         checks.append(check(f"mixture {lam} denominator > 0", denom, ">", 0))
-        value = (lam + rho * (1 - lam)) * Fraction(N1, rn) - (
-            lam * (1 - tr) + (1 - lam) * tr
-        )
+        value = (lam + rho * (1 - lam)) * n1_share - (lam * co_tr + (1 - lam) * tr)
         checks.append(check(f"mixture {lam} gap > rho", value / denom, ">", rho))
 
     # Rank side: pushed to stage m > n, the test projection has rank at
     # most growth * N1 r(m)/r(n), and s(m)/r(m) >= kappa_lb keeps that
     # below the embedding threshold 2 s(m) at every such m.
-    growth = (2 - delta) / (2 * (1 - delta))
-    checks.append(check("(2-delta)/(2(1-delta)) <= 1/(1-delta)", growth, "<=",
-                        1 / (1 - delta)))
+    growth = (2 - delta) / (2 * co_delta)
+    checks.append(check("(2-delta)/(2(1-delta)) <= 1/(1-delta)", growth, "<=", 1 / co_delta))
     checks.append(check(
         "growth * N1/r(n) < 2 kappa_lb, so growth * N1 r(m)/r(n) < 2 s(m) "
         "for every m > n",
-        growth * Fraction(N1, rn), "<", 2 * kappa_lb,
+        growth * n1_share, "<", two_kappa,
     ))
 
-    cert = RcLowerCertificate(
+    failed = [c.name for c in checks if not c.holds]
+    if failed:
+        raise InconclusiveAtHorizon(f"certificate checks failed: {failed}")
+    return RcLowerCertificate(
         rho=rho,
         delta=delta,
         epsilon=epsilon,
@@ -320,10 +324,6 @@ def certify_rc_lower(
         omega=omega,
         checks=tuple(checks),
     )
-    if not cert.reverify():
-        failed = [c.name for c in checks if not c.holds]
-        raise InconclusiveAtHorizon(f"certificate checks failed: {failed}")
-    return cert
 
 
 def certify_rc_global_lower(
@@ -372,13 +372,12 @@ def certify_rc_global_lower(
             Fraction(M, rn), "<", 2 * kappa_lb,
         ),
     ]
-    cert = GlobalLowerCertificate(
+    failed = [c.name for c in checks if not c.holds]
+    if failed:
+        raise InconclusiveAtHorizon(f"certificate checks failed: {failed}")
+    return GlobalLowerCertificate(
         rho=rho, n=n, M=M, kappa_lb=kappa_lb, checks=tuple(checks)
     )
-    if not cert.reverify():
-        failed = [c.name for c in checks if not c.holds]
-        raise InconclusiveAtHorizon(f"certificate checks failed: {failed}")
-    return cert
 
 
 def rc_upper(table: SequenceTable) -> RcUpperResult:
@@ -404,7 +403,7 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
     """
     omega = table.omega
     if not 0 < omega < Fraction(1, 2):
-        raise InputError(f"omega = {omega} outside (0, 1/2)")
+        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
     H = table.horizon
     covered = f"n = {H}" if table.horizon_limited else f"every n >= {H}"
     at_horizon = check(
@@ -460,9 +459,10 @@ def separation(
     omega = table.omega
     kappa_lb = table.witness.kappa_lb
     if not 0 < omega < Fraction(1, 2):
-        raise InputError(f"omega = {omega} outside (0, 1/2)")
-    upper = 1 / (1 - 2 * omega)
-    lower_target = (2 * kappa_lb - 1) / (2 * omega)
+        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
+    two_omega = 2 * omega
+    upper = 1 / (1 - two_omega)
+    lower_target = (2 * kappa_lb - 1) / two_omega
     margin = check("upper bound < lower target", upper, "<", lower_target)
     if not margin.holds:
         return SeparationReport(
@@ -479,13 +479,13 @@ def separation(
             checks=(margin,),
         )
     rho = default_separation_rho(upper, lower_target) if rho is None else as_fraction(rho)
-    checks = [
+    checks = (
         margin,
         check("upper bound < rho", upper, "<", rho),
         check("rho < lower target", rho, "<", lower_target),
-    ]
+    )
     if not all(c.holds for c in checks):
-        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
+        above = (2 * (kappa_lb + table.ulp) - 1) / two_omega
         raise _refusal(
             table,
             rho <= upper or rho >= above,
@@ -501,5 +501,5 @@ def separation(
         separated=True,
         status="separated",
         advice="",
-        checks=tuple(checks),
+        checks=checks,
     )

@@ -95,6 +95,41 @@ def test_certify_bad_rho_is_input_error(capsys):
     assert code == 3 and "input error" in err
 
 
+# 4400 nines: past the interpreter's 4300-digit int-to-str limit.
+NINES = "9" * 4400
+
+
+def test_rationals_past_the_str_digit_limit_in_messages_are_input_errors(tmp_path, capsys):
+    for argv in (
+        ("certify", "--N", "6", "--horizon", "40", "--rho", NINES + "/2"),
+        ("rc-lower", "--N", "6", "--horizon", "40", "--rho", NINES + "/2"),
+        ("density", "--points", "0," + NINES, "--epsilon", "1/2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv[0]
+        assert err.startswith("input error: ") and "(4400 digits)" in err, argv[0]
+    # omega = k(1)/l(1) has a 4301-digit denominator, and the refusal of
+    # omega >= 1/2 prints it.
+    spec = tmp_path / "family.json"
+    spec.write_text('{"d": [1, 1], "k": [0, %s]}' % NINES[:4300])
+    code, out, err = run_cli(capsys, "rc-upper", "--spec", str(spec), "--horizon", "1")
+    assert code == 3 and out == "" and "omega = ~0.999999999999 outside" in err
+
+
+def test_integers_past_the_str_digit_limit_in_input_files_are_input_errors(tmp_path, capsys):
+    spec = tmp_path / "family.json"
+    spec.write_text('{"d": [1, %s], "k": [0, 1]}' % NINES)
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"N": 6, "horizon": %s}' % NINES)
+    for argv in (("--spec", str(spec), "--horizon", "1"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("input error: ") and "4300" in err, argv
+    cfg.write_text('{"N": 6,')  # malformed JSON stays an input error
+    code, out, err = run_cli(capsys, "certify", "--config", str(cfg))
+    assert code == 3 and out == "" and "Expecting" in err
+
+
 def test_params_subcommand(capsys):
     code, report = run_json(capsys, "params", "--N", "6", "--horizon", "2")
     assert code == 0

@@ -7,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahcert.errors import InputError
+from ahcert.pipeline import certify_theorem
 from ahcert.params import (
     STATUS_FAIL,
+    ParamFamily,
+    _GUARD,
     _chain_ends,
     check,
     check_constraints,
@@ -30,6 +33,17 @@ def test_geometric_family_closed_form():
     fam2 = make_geometric_family(2)
     assert [fam2.d(n) for n in range(4)] == [1, 2, 4, 8]
     assert [fam2.k(n) for n in range(4)] == [0, 1, 1, 1]
+    assert fam2.columns(3) == ((1, 2, 4, 8), (0, 1, 1, 1))
+
+
+def test_columns_read_every_stage_at_once():
+    fam = make_explicit_family([1, 6, 0, 36], [0, 1, 4, 0])
+    assert fam.columns(2) == ((1, 6, 0), (0, 1, 4))
+    with pytest.raises(InputError):
+        fam.columns(4)
+    # A family built without columns_of is read stage by stage.
+    bare = ParamFamily(kind="explicit", d_of=lambda n: 6 ** n, k_of=lambda n: min(n, 1))
+    assert bare.columns(3) == make_geometric_family(6).columns(3)
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3])
@@ -160,16 +174,47 @@ _ROUNDED_UP = {
 _ON_THE_GRID = ([1, 2, 3], [0, 1, 1])
 
 
+def reference_chain_ends(d, k, l, a, b, bits):
+    """The chains as a multiply-then-divide by d(j) and l(j) at every step,
+    the form that ``_chain_ends`` must reproduce integer for integer."""
+    H = len(d) - 1
+    p = bits + H.bit_length() + _GUARD
+    one = 1 << p
+    s_lo = s_hi = one
+    q_lo = q_hi = one
+    for j in range(1, H + 1):
+        dj, lj = d[j], l[j]
+        s_lo = s_lo * dj // lj
+        s_hi = -(-s_hi * dj // lj)
+        c = dj - k[j]
+        lo, hi = (q_lo * c, q_hi * c) if c >= 0 else (q_hi * c, q_lo * c)
+        q_lo, q_hi = lo // lj, -(-hi // lj)
+    w_lo = sum((k[j] << p) // l[j] for j in range(2, H + 1))
+    w_hi = -sum((-k[j] << p) // l[j] for j in range(2, H + 1))
+    c = b - a
+    kappa_lb = (s_lo * c, s_hi * c) if c >= 0 else (s_hi * c, s_lo * c)
+    tail = a * one
+    return {
+        "kappa_lb": (*kappa_lb, one * b),
+        "kappa_ub": (s_lo, s_hi, one),
+        "omega_prime_ub": (w_lo * b + tail, w_hi * b + tail, one * b),
+        "omega_prime_partial": (w_lo, w_hi, one),
+        "tau_ub": ((one - q_hi) * b + 2 * tail, (one - q_lo) * b + 2 * tail, 2 * one * b),
+    }
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(explicit_tables())
 @example((*_ON_THE_GRID, Fraction(1, 4), 2, []))
 @example((*_EDGES, Fraction(3, 2), 11, []))  # a vacuous tail, stages with k > d
+@example(([1, 0, 3, 0], [0, 5, 0, 2], Fraction(1, 9), 3, []))  # d(j) = 0 and k(j) = 0
 def test_chains_enclose_and_witnesses_round_the_exact_values(case):
     d, k, tail, H, _ = case
     table = sequences(make_explicit_family(d, k, tail_majorant=constant_tail(tail)), H)
     exact = exact_ratios(d, k, tail, H)
     a, b = (0, 1) if tail is None else (tail.numerator, tail.denominator)
-    ends = _chain_ends(table.d, table.k, table.l, a, b, table.bits)
+    ends = _chain_ends(table.k, table.l, a, b, table.bits)
+    assert ends == reference_chain_ends(table.d, table.k, table.l, a, b, table.bits)
     for name, (num, den) in exact.items():
         lo, hi, ends_den = ends[name]
         assert Fraction(lo, ends_den) <= Fraction(num, den) <= Fraction(hi, ends_den), name
@@ -183,12 +228,34 @@ def test_chains_enclose_and_witnesses_round_the_exact_values(case):
             assert getattr(current.witness, name) == value, name
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(2, 12), st.integers(1, 640))
+@example(2, 640)
+@example(12, 640)
+def test_chains_match_the_reference_on_the_geometric_family(N, H):
+    family = make_geometric_family(N)
+    table = sequences(family, H)
+    assert table.d == tuple(N ** j for j in range(H + 1)) and table.k == (0,) + (1,) * H
+    a, b = family.tail(H).numerator, family.tail(H).denominator
+    assert _chain_ends(table.k, table.l, a, b, table.bits) == reference_chain_ends(
+        table.d, table.k, table.l, a, b, table.bits
+    )
+
+
+# The certify-deep benchmark workload: every witness is read off the chains.
+_DEEP = [(N, H) for N in (5, 6, 8) for H in (120, 160, 200)]
+
+
 def test_only_a_witness_the_chains_leave_undecided_reads_the_exact_values():
     table = sequences(make_explicit_family(*_ON_THE_GRID), 2)
     assert table.witness.kappa_ub == Fraction(1, 2)
     assert "ratios" in vars(table.enclosures[0].values)
     table = sequences(make_geometric_family(6), 40)
     assert "ratios" not in vars(table.enclosures[0].values)
+    for N, H in _DEEP:
+        report = certify_theorem({"N": N, "horizon": H})
+        assert report.verdict == "Certified", (N, H)
+        assert "ratios" not in vars(report.table.enclosures[0].values), (N, H)
 
 
 def test_stages_are_read_inside_the_horizon_only():

@@ -35,3 +35,14 @@ def test_brief_keeps_short_rationals_and_abbreviates_long_ones():
     long = Fraction(10 ** 5000 + 1, 3 * 10 ** 5000)
     assert brief(long) == "~0.333333333333"
     assert brief(-1 - long) == "~-1.333333333333"
+
+
+def test_brief_counts_the_digits_of_an_integer_part_past_the_str_limit():
+    from ahcert.rationals import brief
+
+    nines = 10 ** 4400 - 1  # 4400 digits
+    assert brief(Fraction(nines, 2)) == "~499999999999... (4400 digits)"
+    assert brief(-nines) == "~-999999999999... (4400 digits)"
+    # An integer part of 4300 digits still prints in full, as str() does.
+    at_limit = Fraction(10 ** 4300 - 1, 1) + Fraction(1, 3)
+    assert brief(at_limit) == "~" + "9" * 4300 + ".333333333333"
