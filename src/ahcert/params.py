@@ -73,8 +73,8 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
-from operator import add, ge, mul
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
@@ -100,17 +100,17 @@ class ParamFamily:
     ``tail_majorant(n)`` must return an exact rational upper bound on
     sum_{j>n} k(j)/(d(j)+k(j)), nonincreasing in n.  ``length`` is the
     largest index for which d and k are defined (None = unbounded).
-    ``columns_of(n)``, if given, returns the tuples d(0..n) and k(0..n)
-    at once (``columns``).
+    ``columns_of(n)`` returns the tuples d(0..n) and k(0..n) at once
+    (``columns``).
     """
 
     kind: str
     d_of: Callable[[int], int]
     k_of: Callable[[int], int]
+    columns_of: Callable[[int], tuple]
     tail_majorant: Optional[Callable[[int], Fraction]] = None
     length: Optional[int] = None
     description: dict = field(default_factory=dict)
-    columns_of: Optional[Callable[[int], tuple]] = None
 
     def d(self, n: int) -> int:
         self._check_index(n)
@@ -126,10 +126,7 @@ class ParamFamily:
     def columns(self, n: int) -> tuple:
         """(d, k): the tuples d(0..n) and k(0..n)."""
         self._check_index(n)
-        if self.columns_of is not None:
-            return self.columns_of(n)
-        stages = range(n + 1)
-        return tuple(map(self.d_of, stages)), tuple(map(self.k_of, stages))
+        return self.columns_of(n)
 
     def tail(self, n: int) -> Fraction:
         if self.tail_majorant is None:
@@ -881,7 +878,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     entries = []
 
     # k(n) < d(n) at every tabulated stage.  Violations are exact.
-    bad = list(compress(count(), map(ge, table.k, table.d)))  # n with k(n) >= d(n)
+    bad = [n for n, (kn, dn) in enumerate(zip(table.k, table.d)) if kn >= dn]
     witness_n = bad[0] if bad else horizon
     entries.append(
         ConstraintEntry(

@@ -81,6 +81,15 @@ def brief(value) -> str:
     return f"~{sign}{whole}.{scaled % 10 ** 12:012d}"
 
 
+def shown(value) -> str:
+    """``value`` for an error message as str() prints it, or by ``brief``
+    where str() refuses it (past the int-to-str digit limit)."""
+    try:
+        return str(value)
+    except ValueError:
+        return brief(value)
+
+
 #: Integers up to this bit length (about 600 digits) go through str()
 #: directly: that stays below every value sys.set_int_max_str_digits accepts.
 _STR_BITS = 2000

@@ -51,7 +51,7 @@ from .params import (
     check,
     compare,
 )
-from .rationals import as_fraction, brief
+from .rationals import as_fraction, brief, shown
 
 #: Denominators tried for delta are the powers of two up to this one.
 DELTA_DENOMINATOR_CAP = 2 ** 20
@@ -199,7 +199,7 @@ def certify_rc_lower(
             "certified kappa bound does not exceed 1/2",
         )
     if not 0 < omega < half:
-        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
+        raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
     # Each rational below is built once and shared by every check that
     # records it.
     two_kappa = 2 * kappa_lb
@@ -222,7 +222,7 @@ def certify_rc_lower(
         check("0 < delta", 0, "<", delta),
         check("delta < omega", delta, "<", omega),
         check("rho < (1-delta)(2 kappa_lb - 1)/(2 omega)", rho, "<", co_delta * target),
-        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==", epsilon),
+        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==", delta / (2 * rho * co_delta)),
     ]
 
     # Stage from which the ratio envelope is epsilon-flat: beyond n0,
@@ -403,7 +403,7 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
     """
     omega = table.omega
     if not 0 < omega < Fraction(1, 2):
-        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
+        raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
     H = table.horizon
     covered = f"n = {H}" if table.horizon_limited else f"every n >= {H}"
     at_horizon = check(
@@ -459,7 +459,7 @@ def separation(
     omega = table.omega
     kappa_lb = table.witness.kappa_lb
     if not 0 < omega < Fraction(1, 2):
-        raise InputError(f"omega = {brief(omega)} outside (0, 1/2)")
+        raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
     two_omega = 2 * omega
     upper = 1 / (1 - two_omega)
     lower_target = (2 * kappa_lb - 1) / two_omega

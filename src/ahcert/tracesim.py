@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .errors import ConsistencyError, InputError
 from .params import SequenceTable, check
 from .ranks import K0Class, push_k0, q_perp_ranks
-from .rationals import as_fraction, brief
+from .rationals import as_fraction, shown
 
 DEFAULT_RESOLUTION = 2 ** 12
 
@@ -771,13 +771,13 @@ def density_check(points: Sequence, n: int, epsilon) -> bool:
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
-        raise InputError(f"epsilon must be positive, got {brief(epsilon)}")
+        raise InputError(f"epsilon must be positive, got {shown(epsilon)}")
     if n < 0:
         raise InputError(f"start index must be >= 0, got {n}")
     pts = [as_fraction(p) for p in points]
     for p in pts:
         if not 0 <= p <= 1:
-            raise InputError(f"point {brief(p)} outside [0, 1]")
+            raise InputError(f"point {shown(p)} outside [0, 1]")
     tail = sorted(pts[n:])
     if not tail:
         return False

@@ -10,7 +10,6 @@ from ahcert.errors import InputError
 from ahcert.pipeline import certify_theorem
 from ahcert.params import (
     STATUS_FAIL,
-    ParamFamily,
     _GUARD,
     _chain_ends,
     check,
@@ -41,9 +40,6 @@ def test_columns_read_every_stage_at_once():
     assert fam.columns(2) == ((1, 6, 0), (0, 1, 4))
     with pytest.raises(InputError):
         fam.columns(4)
-    # A family built without columns_of is read stage by stage.
-    bare = ParamFamily(kind="explicit", d_of=lambda n: 6 ** n, k_of=lambda n: min(n, 1))
-    assert bare.columns(3) == make_geometric_family(6).columns(3)
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3])

@@ -46,3 +46,12 @@ def test_brief_counts_the_digits_of_an_integer_part_past_the_str_limit():
     # An integer part of 4300 digits still prints in full, as str() does.
     at_limit = Fraction(10 ** 4300 - 1, 1) + Fraction(1, 3)
     assert brief(at_limit) == "~" + "9" * 4300 + ".333333333333"
+
+
+def test_shown_keeps_str_text_and_abbreviates_only_past_the_str_limit():
+    from ahcert.rationals import shown
+
+    assert shown(Fraction(2)) == "2"
+    long = Fraction(10 ** 50 + 1, 3 * 10 ** 50)  # over 128 bits, printed exactly
+    assert shown(long) == str(long)
+    assert shown(Fraction(10 ** 4400 - 1, 2)) == "~499999999999... (4400 digits)"
