@@ -5,12 +5,7 @@ Run:  python demos/01_sequences_and_constraints.py
 
 from fractions import Fraction
 
-from ahcert import (
-    check_constraints,
-    kappa_lower_bound,
-    make_geometric_family,
-    sequences,
-)
+from ahcert import check_constraints, make_geometric_family, sequences
 
 family = make_geometric_family(6)
 table = sequences(family, 8)
@@ -42,7 +37,7 @@ print(f"kappa certified lower bd = {table.kappa_lb} (~ {float(table.kappa_lb):.6
 print()
 print("The lower bound sharpens as more stages enter the partial product:")
 for n in (1, 2, 3, 5, 8):
-    lb = kappa_lower_bound(family, n)
+    lb = sequences(family, n).kappa_lb
     print(f"  from stage {n}: kappa >= {float(lb):.8f}")
 
 def compact(value):

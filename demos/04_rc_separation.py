@@ -7,7 +7,6 @@ Run:  python demos/04_rc_separation.py
 from fractions import Fraction
 
 from ahcert import (
-    certify_rc_global_lower,
     certify_rc_lower,
     make_geometric_family,
     rc_upper,
@@ -50,10 +49,3 @@ print(
     f"Separation: rc(q corner) <= {report.upper_bound} < rho = {report.rho} "
     f"<= rc(complement corner); status = {report.status}"
 )
-
-print()
-print("The whole algebra also has a certified global lower bound:")
-for rho_g in (Fraction(0), Fraction(1, 2)):
-    g = certify_rc_global_lower(table, rho_g)
-    print(f"  rho = {rho_g}: witness rank M = {g.M} at stage {g.n}, "
-          f"re-verified: {g.reverify()}")

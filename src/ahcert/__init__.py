@@ -24,10 +24,8 @@ from .params import (
     ParamFamily,
     SequenceTable,
     check_constraints,
-    kappa_lower_bound,
     make_explicit_family,
     make_geometric_family,
-    omega_prime_upper_bound,
     sequences,
 )
 from .pipeline import TheoremReport, certify_theorem
@@ -46,11 +44,9 @@ from .ranks import (
     stage_layout,
 )
 from .rcbounds import (
-    GlobalLowerCertificate,
     RcLowerCertificate,
     RcUpperResult,
     SeparationReport,
-    certify_rc_global_lower,
     certify_rc_lower,
     rc_upper,
     separation,
@@ -87,7 +83,6 @@ __all__ = [
     "EmbeddingRankBound",
     "FlipReport",
     "GapSeries",
-    "GlobalLowerCertificate",
     "GridFunction",
     "InconclusiveAtHorizon",
     "InputError",
@@ -108,7 +103,6 @@ __all__ = [
     "TheoremReport",
     "WeierstrassResult",
     "averaged_composition",
-    "certify_rc_global_lower",
     "certify_rc_lower",
     "certify_theorem",
     "check_constraints",
@@ -122,12 +116,10 @@ __all__ = [
     "induced_gap",
     "initial_bott_shape",
     "invert_unit",
-    "kappa_lower_bound",
     "make_explicit_family",
     "make_geometric_family",
     "min_trivial_embedding_rank",
     "multiply",
-    "omega_prime_upper_bound",
     "push_bott",
     "push_k0",
     "q_class",

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, eq, ge, gt, le, lt, mul, ne
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
@@ -101,27 +101,23 @@ class ParamFamily:
     sum_{j>n} k(j)/(d(j)+k(j)), nonincreasing in n.  ``length`` is the
     largest index for which d and k are defined (None = unbounded).
     ``columns_of(n)`` returns the tuples d(0..n) and k(0..n) at once
-    (``columns``).
+    (``columns``); ``d``, ``k`` and ``l`` read them.
     """
 
-    kind: str
-    d_of: Callable[[int], int]
-    k_of: Callable[[int], int]
     columns_of: Callable[[int], tuple]
     tail_majorant: Optional[Callable[[int], Fraction]] = None
     length: Optional[int] = None
     description: dict = field(default_factory=dict)
 
     def d(self, n: int) -> int:
-        self._check_index(n)
-        return self.d_of(n)
+        return self.columns(n)[0][n]
 
     def k(self, n: int) -> int:
-        self._check_index(n)
-        return self.k_of(n)
+        return self.columns(n)[1][n]
 
     def l(self, n: int) -> int:
-        return self.d(n) + self.k(n)
+        d, k = self.columns(n)
+        return d[n] + k[n]
 
     def columns(self, n: int) -> tuple:
         """(d, k): the tuples d(0..n) and k(0..n)."""
@@ -158,12 +154,6 @@ def make_geometric_family(N: int) -> ParamFamily:
     if not isinstance(N, int) or N < 2:
         raise InputError(f"geometric family requires integer N >= 2, got {N!r}")
 
-    def d_of(n: int) -> int:
-        return 1 if n == 0 else N ** n
-
-    def k_of(n: int) -> int:
-        return 0 if n == 0 else 1
-
     def columns_of(n: int) -> tuple:
         # N^j as a running product: one short multiplication a stage.
         return tuple(accumulate(repeat(N, n), mul, initial=1)), (0,) + (1,) * n
@@ -174,13 +164,9 @@ def make_geometric_family(N: int) -> ParamFamily:
         return Fraction(1, N ** n * (N - 1))
 
     return ParamFamily(
-        kind=GEOMETRIC,
-        d_of=d_of,
-        k_of=k_of,
-        tail_majorant=tail,
-        length=None,
-        description={"kind": GEOMETRIC, "N": N},
         columns_of=columns_of,
+        tail_majorant=tail,
+        description={"kind": GEOMETRIC, "N": N},
     )
 
 
@@ -211,13 +197,10 @@ def make_explicit_family(
     desc.setdefault("d", list(d))
     desc.setdefault("k", list(k))
     return ParamFamily(
-        kind=EXPLICIT,
-        d_of=lambda n: d[n],
-        k_of=lambda n: k[n],
+        columns_of=lambda n: (tuple(d[: n + 1]), tuple(k[: n + 1])),
         tail_majorant=tail_majorant,
         length=len(d) - 1,
         description=desc,
-        columns_of=lambda n: (tuple(d[: n + 1]), tuple(k[: n + 1])),
     )
 
 
@@ -292,31 +275,44 @@ def table_majorant(d: Sequence[int], k: Sequence[int], values: Sequence):
 
 
 @dataclass(frozen=True)
-class LinkCheck:
-    """A witness tied to the exact value it stands for.
+class Check:
+    """One recorded comparison ``lhs rel rhs``, re-derivable from its sides.
 
-    ``lhs`` is the short dyadic witness and ``rhs`` names its exact side,
-    an expression in the tabulated sequences that can be re-derived from
-    the family and the horizon; ``enclosure`` holds that side, so the
-    check is one integer cross-multiplication and the side's digits are
-    never printed.
+    Both sides are exact rationals, except in a link check, which ties a
+    short dyadic witness ``lhs`` to the exact value of a certified
+    constant: there ``rhs`` is the constant's ``Enclosure``, compared by
+    its numerator and denominator and reported as its ``side``, an
+    expression in the tabulated sequences, so its digits are never
+    printed.
     """
 
     name: str
     lhs: Fraction
     rel: str
-    rhs: str
+    rhs: Fraction  # or an Enclosure
     holds: bool
-    enclosure: "Enclosure" = field(repr=False, compare=False)
 
     def reverify(self) -> bool:
-        e = self.enclosure
-        return _cross_compare(self.lhs, self.rel, e.num, e.den) == self.holds
+        return _holds(self.lhs, self.rel, self.rhs) == self.holds
 
 
-def _cross_compare(w: Fraction, rel: str, num: int, den: int) -> bool:
-    """w rel num/den for den > 0, by integer cross-multiplication."""
-    return _REL_OPS[rel](w.numerator * den, num * w.denominator)
+_REL_OPS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
+
+
+def _holds(lhs, rel: str, rhs) -> bool:
+    """lhs rel rhs, by integer cross-multiplication of two rationals with
+    positive denominators."""
+    try:
+        op = _REL_OPS[rel]
+    except KeyError:
+        raise InputError(f"unknown relation {rel!r}") from None
+    return op(lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator)
+
+
+def check(name: str, lhs, rel: str, rhs) -> Check:
+    lhs = as_fraction(lhs)
+    rhs = as_fraction(rhs)
+    return Check(name, lhs, rel, rhs, _holds(lhs, rel, rhs))
 
 
 def _scaled(num: int, den: int, bits: int, up: bool) -> int:
@@ -363,9 +359,9 @@ class HorizonValues:
 
 @dataclass(frozen=True)
 class Enclosure:
-    """One certified constant: its exact value num/den, read from the
-    shared ``HorizonValues`` only when asked for, and the direction in
-    which its witnesses may be rounded."""
+    """One certified constant: its exact value, as ``numerator`` and
+    ``denominator`` read from the shared ``HorizonValues`` only when asked
+    for, and the direction in which its witnesses may be rounded."""
 
     name: str
     side: str
@@ -373,14 +369,14 @@ class Enclosure:
     values: HorizonValues = field(repr=False, compare=False)
 
     @property
-    def num(self) -> int:
+    def numerator(self) -> int:
         return self.values.ratios[self.name][0]
 
     @property
-    def den(self) -> int:
+    def denominator(self) -> int:
         return self.values.ratios[self.name][1]
 
-    def link(self, bits: Optional[int], ends: Optional[tuple] = None) -> LinkCheck:
+    def link(self, bits: Optional[int], ends: Optional[tuple] = None) -> Check:
         """The witness with ``bits`` fractional bits on the sound side, tied
         to the exact value; ``bits=None`` gives the exact value.
 
@@ -395,13 +391,13 @@ class Enclosure:
             lo, hi, den = ends
             w = _scaled(lo, den, bits, self.round_up)
             if w == _scaled(hi, den, bits, self.round_up):
-                return LinkCheck(self.name, Fraction(w, 1 << bits), rel, self.side, True, self)
-        num, den = self.num, self.den
+                return Check(self.name, Fraction(w, 1 << bits), rel, self, True)
+        num, den = self.numerator, self.denominator
         if bits is None:
             w = Fraction(num, den)
         else:
             w = Fraction(_scaled(num, den, bits, self.round_up), 1 << bits)
-        return LinkCheck(self.name, w, rel, self.side, _cross_compare(w, rel, num, den), self)
+        return Check(self.name, w, rel, self, _holds(w, rel, self))
 
 
 @dataclass(frozen=True)
@@ -437,9 +433,12 @@ class SequenceTable:
 
     The certified constants are
 
-      * ``kappa_lb``, a lower bound for inf_n s(n)/r(n), valid at every
-        stage, including beyond the horizon, whenever the family has a
-        tail majorant;
+      * ``kappa_lb`` = (s(H)/r(H)) (1 - tail(H)) at the horizon H, a
+        lower bound for inf_n s(n)/r(n), valid at every stage, including
+        beyond the horizon, whenever the family has a tail majorant: for
+        m > H, s(m)/r(m) = (s(H)/r(H)) prod_{H<j<=m} (1 - k(j)/l(j)) >=
+        (s(H)/r(H)) (1 - sum_{j>H} k(j)/l(j)) by the Weierstrass product
+        inequality, and s(m)/r(m) is nonincreasing in m;
       * ``kappa_ub`` = s(horizon)/r(horizon), the upper envelope, useful
         for refutations;
       * ``omega_prime_ub``, an upper bound for the full series omega', and
@@ -509,7 +508,7 @@ class SequenceTable:
         if self.exact:
             raise InputError("the witnesses are already exact")
         bits = 2 * self.bits
-        if bits > max(e.den.bit_length() for e in self.enclosures):
+        if bits > max(e.denominator.bit_length() for e in self.enclosures):
             bits = None
         return replace(self, **_rounded(self.enclosures, bits))
 
@@ -523,7 +522,7 @@ class SequenceTable:
 
     def _exact(self, name: str) -> Fraction:
         e = next(e for e in self.enclosures if e.name == name)
-        return Fraction(e.num, e.den)
+        return Fraction(e.numerator, e.denominator)
 
     @cached_property
     def kappa_lb(self) -> Fraction:
@@ -730,83 +729,6 @@ def first_decided(table: SequenceTable, attempt: Callable, decided=lambda result
             continue
         if decided(result) or current.exact:
             return result
-
-
-def _certified_table(family: ParamFamily, n: int) -> SequenceTable:
-    """sequences(family, n), refused for a family without a tail majorant."""
-    if family.horizon_limited:
-        raise InputError("family has no tail majorant; bounds are horizon-limited")
-    return sequences(family, n)
-
-
-def kappa_lower_bound(family: ParamFamily, n: int) -> Fraction:
-    """Certified lower bound (s(n)/r(n)) * (1 - tail_majorant(n)) for kappa.
-
-    Soundness: for m > n,
-        s(m)/r(m) = (s(n)/r(n)) * prod_{j=n+1..m} (1 - k(j)/l(j))
-                 >= (s(n)/r(n)) * (1 - sum_{j>n} k(j)/l(j)),
-    by the Weierstrass product inequality, and s(m)/r(m) >= s(n)/r(n)
-    >= the bound for m <= n since the ratio sequence is nonincreasing.
-    A vacuous bound (tail >= 1) is returned as-is; callers should treat
-    kappa_lb <= 0 results as inconclusive rather than failed.  The value
-    is the exact ``kappa_lb`` of ``sequences(family, n)``, which the
-    table's witness rounds down.
-    """
-    if n < 1:
-        raise InputError(f"kappa lower bound needs n >= 1, got {n}")
-    return _certified_table(family, n).kappa_lb
-
-
-def omega_prime_upper_bound(family: ParamFamily, n: int) -> Fraction:
-    """sum_{j=2..n} k(j)/l(j) + tail_majorant(n), an upper bound for omega'.
-
-    The value is the exact ``omega_prime_ub`` of ``sequences(family, n)``,
-    which the table's witness rounds up.
-    """
-    if n < 2:
-        raise InputError(f"omega' upper bound needs n >= 2, got {n}")
-    return _certified_table(family, n).omega_prime_ub
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    """One exact comparison, kept re-derivable from its recorded sides."""
-
-    name: str
-    lhs: Fraction
-    rel: str
-    rhs: Fraction
-    holds: bool
-
-    def reverify(self) -> bool:
-        return compare(self.lhs, self.rel, self.rhs) == self.holds
-
-
-_REL_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
-def _relation(rel: str):
-    try:
-        return _REL_OPS[rel]
-    except KeyError:
-        raise InputError(f"unknown relation {rel!r}") from None
-
-
-def compare(lhs: Fraction, rel: str, rhs: Fraction) -> bool:
-    return _relation(rel)(as_fraction(lhs), as_fraction(rhs))
-
-
-def check(name: str, lhs, rel: str, rhs) -> ConstraintCheck:
-    lhs = as_fraction(lhs)
-    rhs = as_fraction(rhs)
-    return ConstraintCheck(name, lhs, rel, rhs, _relation(rel)(lhs, rhs))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .errors import InconclusiveAtHorizon, InputError
 from .params import (
     ConstraintEntry,
     ConstraintReport,
+    Enclosure,
     ParamFamily,
     SequenceTable,
     check_constraints,
@@ -95,7 +96,8 @@ ASSUMPTIONS = (
 def to_json(value):
     """The JSON value of a result: a ``Fraction`` becomes "p/q"; ``str``,
     ``int``, ``bool`` and ``None`` stay; lists and tuples become lists and
-    dicts dicts; a dataclass becomes its fields, less those declared
+    dicts dicts; an ``Enclosure`` (the exact side of a link check) becomes
+    its ``side``; a dataclass becomes its fields, less those declared
     ``compare=False``, as adjusted by ``_REPORT_KEYS``.  Dispatch is on the
     exact type and each class's keys are built once (``_report_keys``)."""
     return _RENDERERS.get(type(value), _render_fields)(value)
@@ -111,6 +113,7 @@ def _render_list(value) -> list:
 
 _RENDERERS = {
     Fraction: format_rational,
+    Enclosure: attrgetter("side"),
     list: _render_list,
     tuple: _render_list,
     dict: lambda value: {key: to_json(x) for key, x in value.items()},
@@ -239,7 +242,7 @@ DEFAULT_CONFIG = {
 #: The keys a family spec file may set, and with them every key a config
 #: may set; any other key is refused, not silently ignored.
 SPEC_KEYS = ("d", "k", "tail")
-CONFIG_KEYS = ("family", "N", "horizon", "rho", "grid", "carrier", "out") + SPEC_KEYS
+CONFIG_KEYS = ("family", "N", "horizon", "rho", "grid", "out") + SPEC_KEYS
 
 #: The keys a spec's ``tail`` object may set, by majorant type.
 TAIL_KEYS = {
@@ -263,11 +266,6 @@ def resolve_config(config: Optional[dict]) -> dict:
     for key, value in (config or {}).items():
         if value is not None:
             merged[key] = value
-    # The trace simulation is exact-only.  A config asking for another
-    # representation is refused rather than run with a different meaning.
-    representation = merged.pop("carrier", "exact")
-    if representation != "exact":
-        raise InputError(f"config 'carrier' must be 'exact', got {representation!r}")
     if merged["family"] not in ("geometric", "explicit"):
         raise InputError(f"unknown family kind {merged['family']!r}")
     for key in ("horizon", "N", "grid"):

@@ -199,19 +199,4 @@ def stage_layout(table: SequenceTable, n: int, system: str = MERGED) -> StageMap
         y_target = interval + tuple(MapEntry(ENTRY_OPAQUE_Y_TO_Y) for _ in range(k))
     else:
         raise InputError(f"unknown system {system!r}")
-    layout = StageMapLayout(stage=n, system=system, x_target=x_target, y_target=y_target)
-    _validate_layout(layout, d, k)
-    return layout
-
-
-def _validate_layout(layout: StageMapLayout, d: int, k: int) -> None:
-    if len(layout.x_target) != d + k or len(layout.y_target) != d + k:
-        raise ConsistencyError("layout entry counts do not match d + k")
-    for entries, same, cross in (
-        (layout.x_target, {ENTRY_COORD_PROJECTION}, {ENTRY_POINT_EVAL_Y, ENTRY_OPAQUE_X_TO_X}),
-        (layout.y_target, {ENTRY_INTERVAL_MAP}, {ENTRY_POINT_EVAL_X, ENTRY_OPAQUE_Y_TO_Y}),
-    ):
-        if any(e.kind not in same for e in entries[:d]):
-            raise ConsistencyError("low entries must stay within their component")
-        if any(e.kind not in cross for e in entries[d:]):
-            raise ConsistencyError("high entries have the wrong tag")
+    return StageMapLayout(stage=n, system=system, x_target=x_target, y_target=y_target)

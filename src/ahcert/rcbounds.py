@@ -45,12 +45,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
-from .params import (
-    ConstraintCheck,
-    SequenceTable,
-    check,
-    compare,
-)
+from .params import Check, SequenceTable, check
 from .rationals import as_fraction, brief, shown
 
 #: Denominators tried for delta are the powers of two up to this one.
@@ -67,11 +62,9 @@ def _refusal(table: SequenceTable, certain: bool, message: str) -> InputError:
     return RefusedAtPrecision(f"{message} (at {table.bits} witness bits)")
 
 
-def verify_checks(checks: Sequence[ConstraintCheck]) -> bool:
+def verify_checks(checks: Sequence[Check]) -> bool:
     """Re-derive every recorded comparison from its stored sides."""
-    return all(
-        compare(c.lhs, c.rel, c.rhs) == c.holds and c.holds for c in checks
-    )
+    return all(c.reverify() and c.holds for c in checks)
 
 
 @dataclass(frozen=True)
@@ -97,20 +90,6 @@ class RcLowerCertificate:
     endpoint_lambda0: Fraction
     kappa_lb: Fraction
     omega: Fraction
-    checks: tuple
-
-    def reverify(self) -> bool:
-        return verify_checks(self.checks)
-
-
-@dataclass(frozen=True)
-class GlobalLowerCertificate:
-    """Witness that the whole algebra has comparison radius >= rho."""
-
-    rho: Fraction
-    n: int
-    M: int
-    kappa_lb: Fraction
     checks: tuple
 
     def reverify(self) -> bool:
@@ -164,12 +143,7 @@ def _find_delta(rho: Fraction, target: Fraction, omega: Fraction) -> Fraction:
     )
 
 
-def certify_rc_lower(
-    table: SequenceTable,
-    rho,
-    horizon: Optional[int] = None,
-    intermediate_lambdas: Sequence[Fraction] = (),
-) -> RcLowerCertificate:
+def certify_rc_lower(table: SequenceTable, rho) -> RcLowerCertificate:
     """Search for and verify a lower certificate at level rho.
 
     Deterministic search: delta by denominator-doubling bisection,
@@ -178,15 +152,11 @@ def certify_rc_lower(
     interval (1, (2 kappa_lb - 1)/(2 omega)) and InconclusiveAtHorizon
     if no stage within the horizon completes the certificate.
 
-    ``intermediate_lambdas`` optionally adds trace-mixture checks at
-    interior points; the endpoint checks already suffice because the
-    normalized gap is a fractional-linear (hence monotone) function of
-    the mixture.
+    The trace gap is checked at the two extreme mixtures only: it is a
+    fractional-linear (hence monotone) function of the mixture.
     """
     rho = as_fraction(rho)
-    if horizon is None:
-        horizon = table.horizon
-    horizon = min(horizon, table.horizon)
+    horizon = table.horizon
     kappa_lb = table.witness.kappa_lb
     omega = table.omega
     half = Fraction(1, 2)
@@ -267,16 +237,15 @@ def certify_rc_lower(
     rn, _, tn = table.stage(n)
     checks.append(check(f"beta/r({n}) < window gap", Fraction(beta, rn), "<", window_gap))
 
-    # Least multiple of beta strictly above the window's lower edge.
-    N1 = beta * (window_lo.numerator * rn // (window_lo.denominator * beta) + 1)
-    N2_frac = rho * N1
-    if N2_frac.denominator != 1:
-        raise InputError(f"rho * N1 = {N2_frac} is not integral")
-    N2 = N2_frac.numerator
+    # Least multiple of beta strictly above the window's lower edge, so
+    # that N2 = rho N1 is an integer.
+    multiple = window_lo.numerator * rn // (window_lo.denominator * beta) + 1
+    N1 = beta * multiple
+    N2 = rho.numerator * multiple
     n1_share = Fraction(N1, rn)
     checks.append(check("N1/r(n) > 1 - omega + 2 rho omega", n1_share, ">", window_lo))
     checks.append(check("N1/r(n) < 2 kappa_lb (1-delta)", n1_share, "<", window_hi))
-    checks.append(check("rho N1 == N2", N2_frac, "==", N2))
+    checks.append(check("rho N1 == N2", rho * N1, "==", N2))
 
     # Trace side: the normalized gap at the two extreme mixtures.
     tr = Fraction(tn, rn)
@@ -287,14 +256,6 @@ def certify_rc_lower(
     endpoint0 = (Fraction(N2, rn) - tr) / co_tr
     checks.append(check("endpoint at full X mixture > rho", endpoint1, ">", rho))
     checks.append(check("endpoint at full Y mixture > rho", endpoint0, ">", rho))
-    for lam in intermediate_lambdas:
-        lam = as_fraction(lam)
-        if not 0 <= lam <= 1:
-            raise InputError(f"mixture parameter {lam} outside [0, 1]")
-        denom = lam * tr + (1 - lam) * co_tr
-        checks.append(check(f"mixture {lam} denominator > 0", denom, ">", 0))
-        value = (lam + rho * (1 - lam)) * n1_share - (lam * co_tr + (1 - lam) * tr)
-        checks.append(check(f"mixture {lam} gap > rho", value / denom, ">", rho))
 
     # Rank side: pushed to stage m > n, the test projection has rank at
     # most growth * N1 r(m)/r(n), and s(m)/r(m) >= kappa_lb keeps that
@@ -323,60 +284,6 @@ def certify_rc_lower(
         kappa_lb=kappa_lb,
         omega=omega,
         checks=tuple(checks),
-    )
-
-
-def certify_rc_global_lower(
-    table: SequenceTable, rho, horizon: Optional[int] = None
-) -> GlobalLowerCertificate:
-    """Certificate that the full algebra has comparison radius >= rho.
-
-    Simpler than the corner version: a trivial projection of rank M with
-    rho + 1 < M/r(n) < 2 kappa_lb beats the distinguished element's
-    trace by more than rho while staying under the embedding threshold
-    at every later stage: M/r(n) < 2 kappa_lb <= 2 s(m)/r(m) gives
-    M r(m)/r(n) < 2 s(m) for every m >= n.
-    """
-    rho = as_fraction(rho)
-    if rho < 0:
-        raise InputError(f"rho must be >= 0, got {rho}")
-    if horizon is None:
-        horizon = table.horizon
-    horizon = min(horizon, table.horizon)
-    kappa_lb = table.witness.kappa_lb
-    if table.kappa_lb_vacuous:
-        raise InputError("certified kappa bound is vacuous")
-    if not rho < 2 * kappa_lb - 1:
-        raise _refusal(
-            table,
-            rho >= 2 * (kappa_lb + table.ulp) - 1,
-            f"need rho < 2 kappa_lb - 1 = {brief(2 * kappa_lb - 1)}, got {brief(rho)}",
-        )
-
-    gap = 2 * kappa_lb - 1 - rho
-    n = None
-    for cand in range(1, horizon + 1):
-        if gap.denominator < gap.numerator * table.stage(cand).r:
-            n = cand
-            break
-    if n is None:
-        raise InconclusiveAtHorizon(f"no stage <= {horizon} with 1/r(n) < {brief(gap)}")
-    rn = table.stage(n).r
-    lo = (rho + 1) * rn
-    M = lo.numerator // lo.denominator + 1
-    checks = [
-        check(f"1/r({n}) < 2 kappa_lb - 1 - rho", Fraction(1, rn), "<", gap),
-        check("rho + 1 < M/r(n)", rho + 1, "<", Fraction(M, rn)),
-        check(
-            "M/r(n) < 2 kappa_lb, so M r(m)/r(n) < 2 s(m) for every m >= n",
-            Fraction(M, rn), "<", 2 * kappa_lb,
-        ),
-    ]
-    failed = [c.name for c in checks if not c.holds]
-    if failed:
-        raise InconclusiveAtHorizon(f"certificate checks failed: {failed}")
-    return GlobalLowerCertificate(
-        rho=rho, n=n, M=M, kappa_lb=kappa_lb, checks=tuple(checks)
     )
 
 
@@ -444,9 +351,7 @@ def default_separation_rho(upper: Fraction, lower_target: Fraction) -> Fraction:
         bits += 1
 
 
-def separation(
-    table: SequenceTable, rho=None, horizon: Optional[int] = None
-) -> SeparationReport:
+def separation(table: SequenceTable, rho=None) -> SeparationReport:
     """Verify that the two corners have different comparison radii.
 
     Needs the certified upper bound for the q corner to fall strictly
@@ -492,7 +397,7 @@ def separation(
             f"rho = {brief(rho)} does not lie strictly between {brief(upper)} "
             f"and {brief(lower_target)}",
         )
-    certificate = certify_rc_lower(table, rho, horizon=horizon)
+    certificate = certify_rc_lower(table, rho)
     return SeparationReport(
         upper_bound=upper,
         lower_target=lower_target,

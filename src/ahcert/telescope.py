@@ -75,9 +75,6 @@ class TelescopeResult:
     def verified(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def reverify(self) -> bool:
-        return all(c.reverify() for c in self.checks)
-
 
 def telescope(family: ParamFamily, nu: Sequence[int], horizon: int) -> TelescopeResult:
     """Re-index ``family`` along ``nu`` and verify the preserved quantities.
@@ -178,14 +175,3 @@ def telescope(family: ParamFamily, nu: Sequence[int], horizon: int) -> Telescope
         new_table=new,
         checks=tuple(checks),
     )
-
-
-def compose_nu(nu: Sequence[int], nu_prime: Sequence[int]) -> list:
-    """Index list of "telescope by nu, then by nu_prime"."""
-    nu = list(nu)
-    out = []
-    for i in nu_prime:
-        if not 0 <= i < len(nu):
-            raise InputError(f"inner index {i} outside 0..{len(nu) - 1}")
-        out.append(nu[i])
-    return out

@@ -699,8 +699,8 @@ def synthetic_system_pair(
     for n in range(stages):
         d, k = table.d[n + 1], table.k[n + 1]
         shared = contraction_map(anchors[3 * n], Fraction(1, 2))
-        entries_a = [(shared, d)]
-        entries_b = [(shared, d)]
+        entries_a = [(shared, d)] if d else []
+        entries_b = list(entries_a)
         if k:
             entries_a.append((constant_map(anchors[3 * n + 1]), k))
             entries_b.append((constant_map(anchors[3 * n + 2]), k))

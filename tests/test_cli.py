@@ -206,6 +206,18 @@ def test_trace_sim_subcommand(capsys):
     assert report["gap_series"]["summable_certified"] is True
 
 
+def test_trace_sim_on_a_stage_with_no_coordinate_projections(tmp_path, capsys):
+    # d(1) = 0: the stage has point evaluations only, and no shared entry.
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"d": [1, 0, 36], "k": [0, 1, 1]}))
+    code, report = run_json(
+        capsys, "trace-sim", "--spec", str(spec), "--stages", "2", "--horizon", "2"
+    )
+    assert code == 0 and report["verdict"] == "Certified"
+    assert report["intertwining"]["step_distances"] == ["1/4", "0/1"]
+    assert report["intertwining"]["step_bounds"] == ["2/1", "2/37"]
+
+
 def test_density_subcommand(capsys):
     code, report = run_json(
         capsys, "density", "--van-der-corput", "64", "--epsilon", "1/64"
@@ -390,16 +402,12 @@ def test_usage_errors_are_input_errors(capsys):
         assert out == "" and "usage:" in err
 
 
-def test_config_carrier_must_be_exact(tmp_path, capsys):
+def test_config_carrier_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"N": 6, "horizon": 6, "carrier": "float"}))
-    code, out, err = run_cli(capsys, "trace-sim", "--config", str(cfg), "--stages", "2")
-    assert code == 3 and out == "" and "carrier" in err
-    cfg.write_text(json.dumps({"N": 6, "horizon": 6, "carrier": "exact"}))
-    code, report = run_json(
-        capsys, "trace-sim", "--config", str(cfg), "--stages", "2", "--grid", "8"
-    )
-    assert code == 0 and "carrier" not in report["config"]
+    for carrier in ("float", "exact"):
+        cfg.write_text(json.dumps({"N": 6, "horizon": 6, "carrier": carrier}))
+        code, out, err = run_cli(capsys, "trace-sim", "--config", str(cfg), "--stages", "2")
+        assert code == 3 and out == "" and "unknown config key 'carrier'" in err
 
 
 def test_zero_size_stage_is_input_error(tmp_path, capsys):
@@ -786,7 +794,7 @@ def test_every_accepted_config_key_runs(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "family": "explicit", "N": 6, "horizon": 3, "rho": "3/2", "grid": 64,
-        "carrier": "exact", "d": [1, 6, 36, 216], "k": [0, 1, 1, 1],
+        "d": [1, 6, 36, 216], "k": [0, 1, 1, 1],
         "tail": {"type": "geometric", "N": 6}, "out": str(tmp_path / "r.json"),
     }))
     code, out, err = run_cli(capsys, "params", "--config", str(cfg))

@@ -11,14 +11,12 @@ from ahcert.pipeline import certify_theorem
 from ahcert.params import (
     STATUS_FAIL,
     _GUARD,
+    Check,
     _chain_ends,
     check,
     check_constraints,
-    compare,
-    kappa_lower_bound,
     make_explicit_family,
     make_geometric_family,
-    omega_prime_upper_bound,
     sequences,
 )
 
@@ -150,7 +148,7 @@ def test_horizon_values_and_stages_match_the_recurrences(case):
     table = sequences(make_explicit_family(d, k, tail_majorant=constant_tail(tail)), H)
     r, s, t, _ = recurrence_values(d, k, H)
     expected = exact_ratios(d, k, tail, H)
-    assert {e.name: (e.num, e.den) for e in table.enclosures} == expected
+    assert {e.name: (e.numerator, e.denominator) for e in table.enclosures} == expected
     assert all(link.holds and link.reverify() for link in table.links)
     assert len(table.stages) == 1  # no stage is tabulated until read
     for n in order:
@@ -296,25 +294,22 @@ def test_bounds_are_the_sequence_table_fields():
     fam = make_geometric_family(6)
     for n in range(2, 9):
         table = sequences(fam, n)
-        assert kappa_lower_bound(fam, n) == table.kappa_lb
-        assert omega_prime_upper_bound(fam, n) == table.omega_prime_ub
-    no_tail = make_explicit_family([1, 6, 36], [0, 1, 1])
-    with pytest.raises(InputError):
-        kappa_lower_bound(no_tail, 2)
-    with pytest.raises(InputError):
-        omega_prime_upper_bound(no_tail, 2)
+        tail = fam.tail(n)
+        partial = sum((Fraction(1, 6 ** j + 1) for j in range(2, n + 1)), Fraction(0))
+        assert table.kappa_lb == Fraction(table.s[n], table.r[n]) * (1 - tail)
+        assert table.omega_prime_ub == partial + tail
 
 
 def test_kappa_lower_bound_frozen_value():
     fam = make_geometric_family(6)
     expected = Fraction(46656, 56203) * Fraction(1079, 1080)
-    assert kappa_lower_bound(fam, 3) == expected
+    assert sequences(fam, 3).kappa_lb == expected
     assert expected > Fraction(3, 4)
 
 
 def test_kappa_lower_bound_monotone_and_enveloped():
     fam = make_geometric_family(6)
-    bounds = [kappa_lower_bound(fam, n) for n in range(1, 13)]
+    bounds = [sequences(fam, n).kappa_lb for n in range(1, 13)]
     assert all(b <= Fraction(6, 7) for b in bounds)
     assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -324,18 +319,16 @@ def test_kappa_lower_bound_is_sound():
     fam = make_geometric_family(6)
     table = sequences(fam, 30)
     for n in (1, 3, 7):
-        lb = kappa_lower_bound(fam, n)
+        lb = sequences(fam, n).kappa_lb
         for m in range(1, 31):
             assert lb <= Fraction(table.s[m], table.r[m])
 
 
 def test_omega_prime_upper_bound_values():
     fam = make_geometric_family(6)
-    assert omega_prime_upper_bound(fam, 2) == Fraction(1, 37) + Fraction(1, 180)
+    assert sequences(fam, 2).omega_prime_ub == Fraction(1, 37) + Fraction(1, 180)
     for n in range(2, 12):
-        assert omega_prime_upper_bound(fam, n) <= Fraction(1, 30)
-    with pytest.raises(InputError):
-        omega_prime_upper_bound(fam, 1)
+        assert sequences(fam, n).omega_prime_ub <= Fraction(1, 30)
 
 
 def test_omega_prime_upper_bound_empty_sum():
@@ -343,7 +336,7 @@ def test_omega_prime_upper_bound_empty_sum():
     fam = make_explicit_family(
         [1, 6, 36, 216], [0, 1, 0, 0], tail_majorant=lambda n: Fraction(0)
     )
-    assert omega_prime_upper_bound(fam, 3) == 0
+    assert sequences(fam, 3).omega_prime_ub == 0
 
 
 def test_ratio_monotonicity_invariants():
@@ -441,7 +434,7 @@ def test_check_and_compare_refuse_an_unknown_relation():
         with pytest.raises(InputError, match="unknown relation"):
             check("bad", 1, rel, 2)
         with pytest.raises(InputError, match="unknown relation"):
-            compare(1, rel, 2)
+            Check("bad", Fraction(1), rel, Fraction(2), True).reverify()
 
 
 def test_geometric_ratio_majorant_verifies_supplied_range():

@@ -1,11 +1,22 @@
 from fractions import Fraction
 
+import ahcert
 import ahcert.params
 import ahcert.pipeline
 from ahcert.pipeline import certify_theorem
 
 VERDICT_LETTER = {"Certified": "C", "Refuted": "R", "InconclusiveAtHorizon": "I"}
 HORIZONS = list(range(1, 41)) + [60, 80]
+
+
+def test_every_exported_name_resolves():
+    unresolved = []
+    for name in ahcert.__all__:
+        try:
+            getattr(ahcert, name)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def test_certify_tabulates_once(monkeypatch):

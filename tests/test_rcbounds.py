@@ -12,7 +12,6 @@ from ahcert.params import (
     table_majorant,
 )
 from ahcert.rcbounds import (
-    certify_rc_global_lower,
     certify_rc_lower,
     default_separation_rho,
     rc_upper,
@@ -74,6 +73,23 @@ def test_lower_certificate_interval_is_open(table):
         certify_rc_lower(table, target + 1)
 
 
+def test_lower_certificate_refuses_rho_on_the_witness_target(table):
+    # The certificate reads the witness kappa_lb, so its open interval ends
+    # at (2 w.kappa_lb - 1)/(2 omega); rho exactly there is refused.
+    target = (2 * table.witness.kappa_lb - 1) / (2 * table.omega)
+    assert target == Fraction(147, 64)
+    with pytest.raises(InputError, match="strictly between"):
+        certify_rc_lower(table, target)
+
+
+def test_lower_certificate_refuses_a_witness_kappa_of_one_half():
+    # s(2)/r(2) = 2/3 * 3/4 = 1/2 exactly, on the witness grid.
+    table = sequences(make_explicit_family([1, 2, 3], [0, 1, 1]), 2)
+    assert table.witness.kappa_lb == Fraction(1, 2)
+    with pytest.raises(InputError, match="does not exceed 1/2"):
+        certify_rc_lower(table, Fraction(3, 2))
+
+
 def test_lower_certificate_rho_grid_monotone(table):
     # if rho certifies, every smaller admissible level certifies too
     for num, den in ((11, 10), (5, 4), (3, 2), (7, 4), (2, 1), (9, 4)):
@@ -81,37 +97,10 @@ def test_lower_certificate_rho_grid_monotone(table):
         assert cert.reverify()
 
 
-def test_lower_certificate_intermediate_mixtures(table):
-    cert = certify_rc_lower(
-        table,
-        Fraction(3, 2),
-        intermediate_lambdas=(Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)),
-    )
-    assert cert.reverify()
-    mixture_checks = [c for c in cert.checks if c.name.startswith("mixture")]
-    assert len(mixture_checks) == 6  # denominator + value per mixture
-
-
 def test_lower_certificate_needs_room(table):
     short = sequences(make_geometric_family(6), 1)
     with pytest.raises(InconclusiveAtHorizon):
         certify_rc_lower(short, Fraction(3, 2))
-
-
-def test_global_lower_certificate(table):
-    cert = certify_rc_global_lower(table, Fraction(1, 2))
-    assert (cert.n, cert.M) == (1, 11)
-    assert cert.reverify()
-    degenerate = certify_rc_global_lower(table, Fraction(0))
-    assert (degenerate.n, degenerate.M) == (1, 8)
-    assert degenerate.reverify()
-
-
-def test_global_lower_certificate_rejects_large_rho(table):
-    with pytest.raises(InputError):
-        certify_rc_global_lower(table, 2 * table.kappa_lb - 1)
-    with pytest.raises(InputError):
-        certify_rc_global_lower(table, Fraction(-1, 2))
 
 
 def test_rc_upper_certified_bound(table):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ahcert.cli import main
 from ahcert.params import (
-    LinkCheck,
+    Check,
     make_explicit_family,
     make_geometric_family,
     sequences,
@@ -72,10 +72,10 @@ def test_golden_reports_cover_every_verdict():
 
 def test_to_json_drops_uncompared_fields_and_renders_ranks():
     enclosure = sequences(make_geometric_family(6), 4).enclosures[0]
-    link = LinkCheck("kappa_lb", Fraction(53, 64), "<=", "s(4)/r(4)", True, enclosure)
+    link = Check("kappa_lb", Fraction(53, 64), "<=", enclosure, True)
     assert to_json(link) == {
-        "name": "kappa_lb", "lhs": "53/64", "rel": "<=", "rhs": "s(4)/r(4)",
-        "holds": True,
+        "name": "kappa_lb", "lhs": "53/64", "rel": "<=",
+        "rhs": "s(4)/r(4) (1 - tail(4))", "holds": True,
     }
     cert = RcLowerCertificate(
         rho=Fraction(3, 2), delta=Fraction(1, 8), epsilon=Fraction(1, 16),

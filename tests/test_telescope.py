@@ -5,7 +5,7 @@ import pytest
 
 from ahcert.errors import InputError
 from ahcert.params import check_constraints, make_geometric_family, sequences
-from ahcert.telescope import compose_nu, telescope, weierstrass_check
+from ahcert.telescope import telescope, weierstrass_check
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def test_telescope_block_products(family):
     assert new.k[2] == 37 * 217 - 7776 == 253
     assert new.r[2] == 7 * 37 * 217
     assert new.l[2] == 37 * 217
-    assert result.verified and result.reverify()
+    assert result.verified
 
 
 def test_telescope_identity_is_noop(family):
@@ -112,7 +112,7 @@ def test_telescope_functorial(family):
         nu_prime = [0, 1] + inner
         once = telescope(family, nu, horizon=18)
         twice = telescope(once.new_family, nu_prime, horizon=len(nu) - 1)
-        composed = telescope(family, compose_nu(nu, nu_prime), horizon=18)
+        composed = telescope(family, [nu[i] for i in nu_prime], horizon=18)
         assert twice.new_table.d == composed.new_table.d
         assert twice.new_table.k == composed.new_table.k
 
