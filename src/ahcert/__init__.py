@@ -8,132 +8,53 @@ radii of comparison of the two distinguished corners while the order-two
 flip exchanges their classes.  All certified claims are exact rational
 comparisons, and the trace-side grid simulations are exact as well: the
 package uses no floating point and has no runtime dependency.
+``from ahcert import X`` imports X's home module on first use (PEP 562).
 """
 
-from .chern import (
-    EmbeddingRankBound,
-    MultilinearClass,
-    invert_unit,
-    min_trivial_embedding_rank,
-    multiply,
-    total_chern_product_bundle,
-)
-from .errors import ConsistencyError, InconclusiveAtHorizon, InputError
-from .params import (
-    ConstraintReport,
-    ParamFamily,
-    SequenceTable,
-    check_constraints,
-    make_explicit_family,
-    make_geometric_family,
-    sequences,
-)
-from .pipeline import TheoremReport, certify_theorem
-from .ranks import (
-    BottShape,
-    K0Class,
-    RankState,
-    StageMapLayout,
-    cuntz_threshold,
-    initial_bott_shape,
-    push_bott,
-    push_k0,
-    q_class,
-    q_perp_ranks,
-    q_ranks,
-    stage_layout,
-)
-from .rcbounds import (
-    RcLowerCertificate,
-    RcUpperResult,
-    SeparationReport,
-    certify_rc_lower,
-    rc_upper,
-    separation,
-)
-from .telescope import TelescopeResult, WeierstrassResult, telescope, weierstrass_check
-from .tracesim import (
-    FlipReport,
-    GapSeries,
-    GridFunction,
-    IntertwiningResult,
-    PiecewiseLinearMap,
-    RoundingPlan,
-    StageEntries,
-    averaged_composition,
-    constant_map,
-    contraction_map,
-    density_check,
-    flip_compatibility,
-    gap_series,
-    identity_map,
-    induced_gap,
-    round_convex_weights,
-    simulate_intertwining,
-    synthetic_system_pair,
-    van_der_corput,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
+_EXPORTS = {  # home module -> the public names it defines
+    "chern": "EmbeddingRankBound MultilinearClass invert_unit min_trivial_embedding_rank multiply"
+    " total_chern_product_bundle",
+    "errors": "ConsistencyError InconclusiveAtHorizon InputError",
+    "params": "ConstraintReport ParamFamily SequenceTable check_constraints make_explicit_family"
+    " make_geometric_family sequences",
+    "pipeline": "TheoremReport certify_theorem",
+    "ranks": "BottShape K0Class RankState StageMapLayout cuntz_threshold initial_bott_shape"
+    " push_bott push_k0 q_class q_perp_ranks q_ranks stage_layout",
+    "rcbounds": "RcLowerCertificate RcUpperResult SeparationReport certify_rc_lower rc_upper"
+    " separation",
+    "telescope": "TelescopeResult WeierstrassResult telescope weierstrass_check",
+    "tracesim": "FlipReport GapSeries GridFunction IntertwiningResult PiecewiseLinearMap"
+    " RoundingPlan StageEntries averaged_composition constant_map contraction_map density_check"
+    " flip_compatibility gap_series identity_map induced_gap round_convex_weights"
+    " simulate_intertwining synthetic_system_pair van_der_corput",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_MODULES = {*_EXPORTS, "rationals"}
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "BottShape",
-    "ConsistencyError",
-    "ConstraintReport",
-    "EmbeddingRankBound",
-    "FlipReport",
-    "GapSeries",
-    "GridFunction",
-    "InconclusiveAtHorizon",
-    "InputError",
-    "IntertwiningResult",
-    "K0Class",
-    "MultilinearClass",
-    "ParamFamily",
-    "PiecewiseLinearMap",
-    "RankState",
-    "RcLowerCertificate",
-    "RcUpperResult",
-    "RoundingPlan",
-    "SeparationReport",
-    "SequenceTable",
-    "StageEntries",
-    "StageMapLayout",
-    "TelescopeResult",
-    "TheoremReport",
-    "WeierstrassResult",
-    "averaged_composition",
-    "certify_rc_lower",
-    "certify_theorem",
-    "check_constraints",
-    "constant_map",
-    "contraction_map",
-    "cuntz_threshold",
-    "density_check",
-    "flip_compatibility",
-    "gap_series",
-    "identity_map",
-    "induced_gap",
-    "initial_bott_shape",
-    "invert_unit",
-    "make_explicit_family",
-    "make_geometric_family",
-    "min_trivial_embedding_rank",
-    "multiply",
-    "push_bott",
-    "push_k0",
-    "q_class",
-    "q_perp_ranks",
-    "q_ranks",
-    "rc_upper",
-    "round_convex_weights",
-    "separation",
-    "sequences",
-    "simulate_intertwining",
-    "stage_layout",
-    "synthetic_system_pair",
-    "telescope",
-    "total_chern_product_bundle",
-    "van_der_corput",
-    "weierstrass_check",
-]
+
+def __getattr__(name):
+    if name in _HOME:
+        return globals().setdefault(name, getattr(import_module(f".{_HOME[name]}", __name__), name))
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):  # importing module ``telescope`` binds it here; keep the export
+    def __setattr__(self, name, value):
+        if isinstance(value, ModuleType) and name in _HOME:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -202,9 +202,6 @@ class EmbeddingRankBound:
     complement_rank_lb: int
     product_is_one: bool
 
-    def __int__(self) -> int:
-        return self.min_rank
-
 
 def min_trivial_embedding_rank(k: int) -> EmbeddingRankBound:
     """Least rank of a trivial bundle containing the k-fold line-bundle product."""

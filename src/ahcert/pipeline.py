@@ -97,9 +97,9 @@ def to_json(value):
     """The JSON value of a result: a ``Fraction`` becomes "p/q"; ``str``,
     ``int``, ``bool`` and ``None`` stay; lists and tuples become lists and
     dicts dicts; an ``Enclosure`` (the exact side of a link check) becomes
-    its ``side``; a dataclass becomes its fields, less those declared
-    ``compare=False``, as adjusted by ``_REPORT_KEYS``.  Dispatch is on the
-    exact type and each class's keys are built once (``_report_keys``)."""
+    its ``side``; a dataclass becomes its fields, as adjusted by
+    ``_REPORT_KEYS``.  Dispatch is on the exact type and each class's keys
+    are built once (``_report_keys``)."""
     return _RENDERERS.get(type(value), _render_fields)(value)
 
 
@@ -146,7 +146,7 @@ def _report_keys(cls) -> tuple:
     """The (key, getter) pairs of a dataclass's report, built once per class."""
     if not is_dataclass(cls):
         raise TypeError(f"no JSON rendering for {cls.__name__}")
-    keys = {f.name: attrgetter(f.name) for f in fields(cls) if f.compare}
+    keys = {f.name: attrgetter(f.name) for f in fields(cls)}
     keys.update(_REPORT_KEYS.get(cls, {}))
     return tuple((key, get) for key, get in keys.items() if get is not None)
 

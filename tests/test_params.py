@@ -430,7 +430,7 @@ def test_check_constraints_horizon_one():
 def test_check_and_compare_refuse_an_unknown_relation():
     assert check("half below one", "1/2", "<", 1).holds
     assert not check("half above one", Fraction(1, 2), ">=", 1).holds
-    for rel in ("=<", "", "≤"):
+    for rel in ("=<", "", "≤", "!="):
         with pytest.raises(InputError, match="unknown relation"):
             check("bad", 1, rel, 2)
         with pytest.raises(InputError, match="unknown relation"):

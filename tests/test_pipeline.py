@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import ahcert
 import ahcert.params
@@ -17,6 +22,53 @@ def test_every_exported_name_resolves():
         except AttributeError:
             unresolved.append(name)
     assert unresolved == []
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_module_and_each_export_resolves_on_use():
+    run_fresh("""
+        import sys
+        import ahcert
+
+        assert [key for key in sys.modules if key.startswith("ahcert.")] == []
+        assert set(ahcert.__all__) <= set(dir(ahcert))
+        assert not hasattr(ahcert, "no_such_name")
+        for name in ahcert.__all__:
+            value = getattr(ahcert, name)
+            assert value.__module__.startswith("ahcert."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        star = {}
+        exec("from ahcert import *", star)
+        assert all(star[name] is getattr(ahcert, name) for name in ahcert.__all__)
+    """)
+    run_fresh("""
+        import sys
+        import ahcert
+
+        assert ahcert.params is sys.modules["ahcert.params"]
+        assert ahcert.rationals is sys.modules["ahcert.rationals"]
+    """)
+
+
+def test_importing_the_telescope_module_keeps_the_telescope_export():
+    run_fresh("""
+        import sys
+        import ahcert.cli
+
+        assert ahcert.telescope is sys.modules["ahcert.telescope"].telescope
+        assert callable(ahcert.telescope)
+    """)
 
 
 def test_certify_tabulates_once(monkeypatch):

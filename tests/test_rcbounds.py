@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahcert.cli import main
 from ahcert.errors import InconclusiveAtHorizon, InputError
 from ahcert.params import (
+    SequenceTable,
     make_explicit_family,
     make_geometric_family,
     sequences,
@@ -88,6 +91,47 @@ def test_lower_certificate_refuses_a_witness_kappa_of_one_half():
     assert table.witness.kappa_lb == Fraction(1, 2)
     with pytest.raises(InputError, match="does not exceed 1/2"):
         certify_rc_lower(table, Fraction(3, 2))
+
+
+# Refusals that the enclosure [witness, witness + ulp] shows the exact values
+# make too: (argv, family, horizon, rho, message).
+CERTAIN_REFUSALS = [
+    (["rc-lower", "--horizon", "2", "--rho", "3/2"], ([1, 1, 1], [0, 1, 1]), 2, "3/2",
+     "certified kappa bound does not exceed 1/2"),
+    (["rc-lower", "--N", "6", "--horizon", "40", "--rho", "1"], 6, 40, "1",
+     "rho must lie strictly between 1 and 147/64 (certified), got 1/1"),
+    (["rc-lower", "--N", "6", "--horizon", "40", "--rho", "3"], 6, 40, "3",
+     "rho must lie strictly between 1 and 147/64 (certified), got 3/1"),
+    (["certify", "--N", "5", "--horizon", "40", "--rho", "3/2"], 5, 40, "3/2",
+     "rho = 3/2 does not lie strictly between 3/2 and 27/16"),
+    (["certify", "--N", "6", "--horizon", "40", "--rho", "3"], 6, 40, "3",
+     "rho = 3/1 does not lie strictly between 7/5 and 147/64"),
+]
+
+
+@pytest.mark.parametrize("argv, family, horizon, rho, message", CERTAIN_REFUSALS)
+def test_certain_refusals_never_refine_the_table(
+    argv, family, horizon, rho, message, tmp_path, capsys, monkeypatch
+):
+    if isinstance(family, int):
+        table = sequences(make_geometric_family(family), horizon)
+    else:
+        table = sequences(make_explicit_family(*family), horizon)
+        spec = tmp_path / "family.json"
+        spec.write_text(json.dumps({"d": family[0], "k": family[1]}))
+        argv = argv + ["--spec", str(spec)]
+    refuse = separation if argv[0] == "certify" else certify_rc_lower
+    with pytest.raises(InputError) as exc:
+        refuse(table, Fraction(rho))
+    assert type(exc.value) is InputError and str(exc.value) == message
+
+    def refined(self):
+        raise AssertionError("a certain refusal refined the table")
+
+    monkeypatch.setattr(SequenceTable, "refined", refined)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
 
 
 def test_lower_certificate_rho_grid_monotone(table):

@@ -70,7 +70,7 @@ def test_golden_reports_cover_every_verdict():
     assert verdicts == set(VERDICT_EXIT)
 
 
-def test_to_json_drops_uncompared_fields_and_renders_ranks():
+def test_to_json_renders_checks_certificates_and_plain_values():
     enclosure = sequences(make_geometric_family(6), 4).enclosures[0]
     link = Check("kappa_lb", Fraction(53, 64), "<=", enclosure, True)
     assert to_json(link) == {
