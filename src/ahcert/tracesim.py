@@ -6,18 +6,24 @@ other sample on the segment between its neighbouring knots.  Pushing a
 function through one stage of a diagonal system averages its compositions
 with the stage's entry maps (piecewise-linear self-maps of the interval,
 or point evaluations).  Each map holds its pieces as integer affine forms,
-built once from its breakpoints, and one fused pass scales them to the
-grid and samples every composition of a push only where it can bend, on
-integers, with one fraction per output knot: the cost follows the number
-of knots, not the grid size.  The quantities being checked (per-step gaps, rounding errors)
-are exact rationals, all sup norms are grid sup norms, and every
-comparison against a stage-gap bound is a theorem about the grid
-functions.
+built once from its breakpoints and scaled once per grid resolution, and
+one fused pass samples every composition of a push only where it can
+bend, on integers, with one fraction per output knot: the cost follows
+the number of knots, not the grid size.  The pass takes its rows as
+integer multiplicities over one row denominator, (l, [(c, g, m), ...])
+for (1/l) sum c (g o m), so a stage push is its entries' multiplicities
+over their total and no weight is a fraction; callers with rational
+weights bring them to one denominator first.  The quantities being
+checked (per-step gaps, rounding errors) are exact rationals, all sup
+norms are grid sup norms, and every comparison against a stage-gap bound
+is a theorem about the grid functions.
 
 A push is linear and unital on grid functions, so the intertwining
 ladder telescopes: each rung is the next one plus the pushed stage
 difference, a constant difference passes through every later stage
-unchanged, and the rungs are summed only when read.
+unchanged, and the rungs are summed only when read.  The synthetic
+systems' stage-n maps depend on n alone, so they are built on first use
+and shared by every later pair in the process.
 
 The stage-gap series and the flip need no stage-by-stage loop: the
 series is enclosed by the table's constants, and the flip by its stage-0
@@ -31,7 +37,7 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import ceil, gcd, lcm
 from operator import itemgetter
@@ -53,8 +59,8 @@ DEFAULT_RESOLUTION = 2 ** 12
 MAX_STAGES = 56
 
 #: The most points ``density --van-der-corput`` generates.  Every point is
-#: a ``Fraction`` (about 37 us and 140 bytes each) that ``density_check``
-#: then sorts; a cold run at this cap takes about a second, less than
+#: a ``Fraction`` (about 140 bytes) that ``density_check`` sorts on an
+#: integer key; a cold run at this cap takes about 0.3 s, a few times
 #: ``certify`` at ``pipeline.MAX_HORIZON``.
 MAX_POINTS = 2 ** 15
 
@@ -94,17 +100,22 @@ class PiecewiseLinearMap:
             raise InputError("map leaves [0, 1]")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_forms", tuple(forms))
+        object.__setattr__(self, "_by_resolution", {})
 
     def _pieces(self, G: int) -> tuple:
         """The pieces at resolution G: the first grid index of each, and each
         as (a, G e, c, floor and ceiling of its start G x0, and its image
-        range in grid units rounded outward)."""
-        pieces = [
-            (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
-             min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
-            for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
-        ]
-        return [piece[4] for piece in pieces], pieces
+        range in grid units rounded outward).  The map is immutable, so
+        each resolution's pieces are built once."""
+        known = self._by_resolution.get(G)
+        if known is None:
+            pieces = tuple(
+                (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
+                 min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
+                for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
+            )
+            known = self._by_resolution[G] = (tuple(piece[4] for piece in pieces), pieces)
+        return known
 
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
@@ -117,8 +128,11 @@ class PiecewiseLinearMap:
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+
+
 def identity_map() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+    return PiecewiseLinearMap(((_ZERO, _ZERO), (_ONE, _ONE)))
 
 
 _IDENTITY = identity_map()
@@ -126,17 +140,31 @@ _IDENTITY = identity_map()
 
 def constant_map(c) -> PiecewiseLinearMap:
     c = as_fraction(c)
-    return PiecewiseLinearMap(((Fraction(0), c), (Fraction(1), c)))
+    return PiecewiseLinearMap(((_ZERO, c), (_ONE, c)))
 
 
-def contraction_map(center, factor=Fraction(1, 2)) -> PiecewiseLinearMap:
+def contraction_map(center, factor=_HALF) -> PiecewiseLinearMap:
     """x -> center + factor (x - center): contraction toward a point."""
     center = as_fraction(center)
     factor = as_fraction(factor)
     if not 0 <= factor < 1:
         raise InputError(f"contraction factor must be in [0, 1), got {factor}")
-    lo = center * (1 - factor)
-    return PiecewiseLinearMap(((Fraction(0), lo), (Fraction(1), lo + factor)))
+    p, q, r, s = center.numerator, center.denominator, factor.numerator, factor.denominator
+    # center (1 - factor) and center (1 - factor) + factor, over q s
+    return PiecewiseLinearMap(
+        ((_ZERO, Fraction(p * (s - r), q * s)), (_ONE, Fraction(p * (s - r) + r * q, q * s)))
+    )
+
+
+def _radical_inverse(i: int, base: int) -> Fraction:
+    """Point i of the van der Corput sequence: i's base digits reflected
+    about the radix point."""
+    num, denom = 0, 1
+    while i:
+        num = num * base + (i % base)
+        denom *= base
+        i //= base
+    return Fraction(num, denom)
 
 
 def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
@@ -145,16 +173,7 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
         raise InputError(f"base must be >= 2, got {base}")
     if count < 0:
         raise InputError(f"point count must be >= 0, got {count}")
-    out = []
-    for i in range(count):
-        num, denom = 0, 1
-        j = i
-        while j:
-            num = num * base + (j % base)
-            denom *= base
-            j //= base
-        out.append(Fraction(num, denom))
-    return out
+    return [_radical_inverse(i, base) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +209,7 @@ class GridFunction:
             b <= a for a, b in zip(idx, idx[1:])
         ):
             raise InputError("knot indices must be strictly increasing integers")
-        object.__setattr__(self, "knots", _compress(knots))
+        self._settle(knots)
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int):
@@ -209,8 +228,14 @@ class GridFunction:
         strictly increasing from 0 to ``resolution``), compressing only."""
         f = object.__new__(cls)
         object.__setattr__(f, "resolution", resolution)
-        object.__setattr__(f, "knots", _compress(knots))
+        f._settle(knots)
         return f
+
+    def _settle(self, knots: tuple) -> None:
+        """Store the compressed knots and, once, their index list."""
+        knots = _compress(knots)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_indices", [i for i, _ in knots])
 
     @property
     def is_constant(self) -> bool:
@@ -246,17 +271,17 @@ class GridFunction:
 
     def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
         """Grid samples of self composed with m: a one-term ``_combine``."""
-        return _weighted_average(self, [(1, m)])
+        return _combine([(1, [(1, self, m)])])[0]
 
     def sup_norm(self) -> Fraction:
         """The grid sup: every other sample lies between two knot values."""
         return max(abs(v) for _, v in self.knots)
 
     def add(self, other: "GridFunction") -> "GridFunction":
-        return _combine([[(1, self, _IDENTITY), (1, other, _IDENTITY)]])[0]
+        return _combine([(1, [(1, self, _IDENTITY), (1, other, _IDENTITY)])])[0]
 
     def sub(self, other: "GridFunction") -> "GridFunction":
-        return _combine([[(1, self, _IDENTITY), (-1, other, _IDENTITY)]])[0]
+        return _combine([(1, [(1, self, _IDENTITY), (-1, other, _IDENTITY)])])[0]
 
     def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
@@ -371,21 +396,24 @@ def averaged_composition(
     if sum((w for w, _ in ref), Fraction(0)) != 1:
         raise InputError("reference weights must sum to 1")
     averaged = [(Fraction(c, len(maps)), m) for m, c in Counter(maps).items()]
-    rows = (averaged, averaged + [(-w, m) for w, m in ref])
+    rows = [_integer_row(averaged), _integer_row(averaged + [(-w, m) for w, m in ref])]
     out = []
     for f in functions:
-        avg, gap = _combine([[(w, f, m) for w, m in row] for row in rows])
+        avg, gap = _combine([(l, [(c, f, m) for c, m in row]) for l, row in rows])
         out.append((avg, gap.sup_norm()))
     return out
 
 
-def _weighted_average(f: GridFunction, weighted_maps) -> GridFunction:
-    """sum of w (f o m) over the (w, m) pairs."""
-    return _combine([[(w, f, m) for w, m in weighted_maps]])[0]
+def _integer_row(weighted_maps) -> tuple:
+    """(l, [(c, m), ...]) with integer c over one denominator l, for
+    (w, m) pairs with rational weights w = c/l."""
+    l = lcm(*(w.denominator for w, _ in weighted_maps))
+    return l, [(w.numerator * (l // w.denominator), m) for w, m in weighted_maps]
 
 
 def _combine(rows) -> List[GridFunction]:
-    """For each row of (w, g, m) terms, the grid function sum of w (g o m).
+    """For each row (l, [(c, g, m), ...]) of integer multiplicities c over
+    one row denominator l > 0, the grid function (1/l) sum of c (g o m).
 
     g o m is affine between consecutive candidates of ``_bends``, so each
     sum is sampled at the union of every term's candidates only, and a
@@ -395,28 +423,28 @@ def _combine(rows) -> List[GridFunction]:
     segment, so each output sample costs one dot product with the knot
     values (over their least common denominator) and one fraction.
     """
-    G = rows[0][0][1].resolution
+    G = rows[0][1][0][1].resolution
     pairs = {}  # (id(g), id(m)) -> position in terms
     terms = []  # the distinct (g, m) pairs
-    weights = []  # per row: (position in terms, weight numerator, denominator)
-    for row in rows:
+    weights = []  # per row: l and the (position in terms, summed multiplicity) pairs
+    for l, row in rows:
         summed = {}
-        for w, g, m in row:
+        for c, g, m in row:
             if g.resolution != G:
                 raise InputError("grid functions have incompatible resolutions")
             j = pairs.setdefault((id(g), id(m)), len(terms))
             if j == len(terms):
                 terms.append((g, m))
-            summed[j] = summed[j] + w if j in summed else w
-        weights.append([(j, w.numerator, w.denominator) for j, w in summed.items() if w])
+            summed[j] = summed.get(j, 0) + c
+        weights.append((l, [(j, c) for j, c in summed.items() if c]))
 
-    indices = [[i for i, _ in g.knots] for g, _ in terms]
     grids = [m._pieces(G) for _, m in terms]
-    bends = (_bends(pieces, idx) for (_, pieces), idx in zip(grids, indices))
+    bends = (_bends(pieces, g._indices) for (g, _), (_, pieces) in zip(terms, grids))
     candidates = sorted({0, G}.union(*bends))
     segments = {}  # (id(g), k) -> the values at knots k - 1 and k as (p0, p1, q)
     columns = []  # per pair and candidate: (segment, knot weights, denominator)
-    for (g, _), idx, (starts, pieces) in zip(terms, indices, grids):
+    for (g, _), (starts, pieces) in zip(terms, grids):
+        idx = g._indices
         column = []
         for i in candidates:
             a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
@@ -433,21 +461,23 @@ def _combine(rows) -> List[GridFunction]:
         columns.append(column)
 
     out = []
-    for row in weights:
+    for l, row in weights:
         samples = []
         for t, i in enumerate(candidates):
             acc = {}
-            for j, wn, wd in row:
+            for j, w in row:
                 key, x0, x1, d = columns[j][t]
-                y0, y1, e = acc.get(key, (0, 0, 1))
-                d *= wd
-                acc[key] = (y0 * d + wn * x0 * e, y1 * d + wn * x1 * e, e * d)
+                if key in acc:
+                    y0, y1, e = acc[key]
+                    acc[key] = (y0 * d + w * x0 * e, y1 * d + w * x1 * e, e * d)
+                else:
+                    acc[key] = (w * x0, w * x1, d)
             num, den = 0, 1
             for key, (x0, x1, d) in acc.items():
                 p0, p1, q = segments[key]
                 d *= q
                 num, den = num * d + (p0 * x0 + p1 * x1) * den, den * d
-            samples.append((i, Fraction(num, den)))
+            samples.append((i, Fraction(num, den * l)))
         out.append(GridFunction._from_valid_knots(G, tuple(samples)))
     return out
 
@@ -540,15 +570,9 @@ class StageEntries:
                 raise InputError(f"entry multiplicity must be a positive integer, got {c}")
             if not isinstance(m, PiecewiseLinearMap):
                 raise InputError("entries must be piecewise-linear interval maps")
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
-    def weights(self) -> list:
-        """The (weight, map) pairs of the push: each entry at c/l."""
-        l = self.total
-        return [(Fraction(c, l), m) for m, c in self.entries]
+        # l, and the (multiplicity, map) pairs of a push row over it
+        object.__setattr__(self, "total", sum(c for _, c in self.entries))
+        object.__setattr__(self, "_terms", tuple((c, m) for m, c in self.entries))
 
     def push(self, f: GridFunction) -> GridFunction:
         """(1/l) sum over entries of f o entry: positive, unital, contractive.
@@ -557,7 +581,7 @@ class StageEntries:
         """
         if f.is_constant:
             return f
-        return _weighted_average(f, self.weights())
+        return _combine([(self.total, [(c, f, m) for c, m in self._terms])])[0]
 
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
@@ -572,7 +596,7 @@ def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
             map_a, rema = ea[ia]
         if remb == 0:
             map_b, remb = eb[ib]
-        if map_a != map_b:
+        if map_a is not map_b and map_a != map_b:
             break
         step = min(rema, remb)
         agreed += step
@@ -651,9 +675,10 @@ def simulate_intertwining(
     u = v
     steps = []
     for n in range(m, horizon):
-        pushed = system_a[n].weights()
-        difference = system_b[n].weights() + [(-w, g) for w, g in pushed]
-        u, step = _combine([[(w, u, g) for w, g in row] for row in (pushed, difference)])
+        a, b = system_a[n], system_b[n]
+        pushed = [(c, u, g) for c, g in a._terms]
+        difference = [(c, u, g) for c, g in b._terms] + [(-c, u, g) for c, g in a._terms]
+        u, step = _combine([(a.total, pushed), (a.total, difference)])
         for j in range(n + 1, horizon):
             step = system_b[j].push(step)
         steps.append(step)
@@ -693,20 +718,31 @@ def synthetic_system_pair(
     """
     if stages > table.horizon:
         raise InputError(f"table horizon {table.horizon} < requested stages {stages}")
-    anchors = van_der_corput(3 * stages)
     sys_a = []
     sys_b = []
     for n in range(stages):
         d, k = table.d[n + 1], table.k[n + 1]
-        shared = contraction_map(anchors[3 * n], Fraction(1, 2))
+        shared, point_a, point_b = _synthetic_maps(n)
         entries_a = [(shared, d)] if d else []
         entries_b = list(entries_a)
         if k:
-            entries_a.append((constant_map(anchors[3 * n + 1]), k))
-            entries_b.append((constant_map(anchors[3 * n + 2]), k))
+            entries_a.append((point_a, k))
+            entries_b.append((point_b, k))
         sys_a.append(StageEntries(tuple(entries_a)))
         sys_b.append(StageEntries(tuple(entries_b)))
     return sys_a, sys_b
+
+
+@cache
+def _synthetic_maps(n: int) -> tuple:
+    """Stage n's synthetic maps, which depend on n alone: the contraction
+    toward vdc(3n) and the point evaluations at vdc(3n + 1) and vdc(3n + 2).
+    Built on first use and kept for the process."""
+    return (
+        contraction_map(_radical_inverse(3 * n, 2)),
+        constant_map(_radical_inverse(3 * n + 1, 2)),
+        constant_map(_radical_inverse(3 * n + 2, 2)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +803,8 @@ def density_check(points: Sequence, n: int, epsilon) -> bool:
 
     Equivalent gap criterion: the first point is within epsilon of 0,
     the last within epsilon of 1, and consecutive points (sorted) are at
-    most epsilon apart.
+    most epsilon apart.  Points are sorted by their first 64 bits, ties
+    by their exact value, and every comparison cross-multiplies integers.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -776,11 +813,19 @@ def density_check(points: Sequence, n: int, epsilon) -> bool:
         raise InputError(f"start index must be >= 0, got {n}")
     pts = [as_fraction(p) for p in points]
     for p in pts:
-        if not 0 <= p <= 1:
+        if not 0 <= p.numerator <= p.denominator:
             raise InputError(f"point {shown(p)} outside [0, 1]")
-    tail = sorted(pts[n:])
+    tail = sorted(pts[n:], key=lambda p: ((p.numerator << 64) // p.denominator, p))
     if not tail:
         return False
-    if tail[0] > epsilon or 1 - tail[-1] > epsilon:
+    e, f = epsilon.numerator, epsilon.denominator
+    first, last = tail[0], tail[-1]
+    if first.numerator * f > e * first.denominator:
         return False
-    return all(b - a <= epsilon for a, b in zip(tail, tail[1:]))
+    if (last.denominator - last.numerator) * f > e * last.denominator:
+        return False
+    return all(
+        (b.numerator * a.denominator - a.numerator * b.denominator) * f
+        <= e * a.denominator * b.denominator
+        for a, b in zip(tail, tail[1:])
+    )

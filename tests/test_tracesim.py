@@ -29,7 +29,7 @@ from ahcert.tracesim import (
     synthetic_system_pair,
     van_der_corput,
 )
-from ahcert.tracesim import _combine, _weighted_average
+from ahcert.tracesim import _combine
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,15 @@ def test_integer_pieces_match_the_map(m, G, data):
     for i in data.draw(st.lists(st.integers(0, G), max_size=8), label="i"):
         a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
         assert Fraction(a * i + b, c) == G * m(Fraction(i, G))
+    # The pieces are kept per resolution: asked again, in any order, the
+    # map gives what a fresh copy of it gives, and compares as before.
+    fresh = PiecewiseLinearMap(m.breakpoints)
+    assert m == fresh and hash(m) == hash(fresh)
+    others = data.draw(st.lists(st.integers(1, 4096), max_size=4), label="others")
+    for H in [G] + others + [G] + others[::-1]:
+        assert m._pieces(H) == PiecewiseLinearMap(m.breakpoints)._pieces(H)
+    assert m._pieces(G) == (starts, pieces)
+    assert m == fresh and hash(m) == hash(fresh)
 
 
 @st.composite
@@ -215,13 +224,62 @@ def test_fused_push_matches_dense_samples(data):
 
     expected_a, expected_b = dense_push(first), dense_push(second)
     assert StageEntries(tuple(first)).push(f).values == expected_a
-    # Two rows in one pass, one of them signed, as a ladder stage uses them.
-    pushed = [(Fraction(c, sum(c for _, c in first)), m) for m, c in first]
-    others = [(Fraction(c, sum(c for _, c in second)), m) for m, c in second]
-    difference = others + [(-w, m) for w, m in pushed]
-    got, gap = _combine([[(w, f, m) for w, m in row] for row in (pushed, difference)])
+    # Two rows in one pass, one of them signed, as a ladder stage uses them:
+    # integer multiplicities over one denominator per row.
+    la, lb = sum(c for _, c in first), sum(c for _, c in second)
+    pushed = (la, [(c, f, m) for m, c in first])
+    difference = (la * lb, [(c * la, f, m) for m, c in second]
+                  + [(-c * lb, f, m) for m, c in first])
+    got, gap = _combine([pushed, difference])
     assert got.values == expected_a
     assert gap.values == tuple(b - a for a, b in zip(expected_a, expected_b))
+
+
+def test_synthetic_stage_maps_are_built_once_per_process():
+    pts = van_der_corput(3 * 12)
+    first = synthetic_system_pair(sequences(make_geometric_family(6), 12), 12)
+    again = synthetic_system_pair(sequences(make_geometric_family(5), 10), 10)
+    for n in range(10):
+        for stages, other in zip(first, again):
+            assert [id(m) for m, _ in stages[n].entries] == [
+                id(m) for m, _ in other[n].entries
+            ]
+    for n in range(12):
+        (shared, _), (point_a, _) = first[0][n].entries
+        (shared_b, _), (point_b, _) = first[1][n].entries
+        assert shared is shared_b
+        assert shared == contraction_map(pts[3 * n], Fraction(1, 2))
+        assert point_a == constant_map(pts[3 * n + 1])
+        assert point_b == constant_map(pts[3 * n + 2])
+
+
+# Step distances of the N = 6 ladder from v(x) = x, the same at every grid.
+N6_LADDER = (
+    "1/28",
+    "3/518",
+    "351/449624",
+    "2916/72895291",
+    "944784/566906678107",
+    "7346640384/26450164880438299",
+    "214228033597440/7404379806135256107163",
+    "23988055525253185536/12436522196841480456944796571",
+    "10072680467275913619308544/125331502433542797076511205569176987",
+    "101509411654344605577651236634624/7578316809822529505103409098429241440268699",
+)
+
+
+@pytest.mark.parametrize("grid", [64, 192, 4096])
+def test_n6_ladder_is_pinned_at_every_grid(grid):
+    stages = len(N6_LADDER)
+    sys_a, sys_b = synthetic_system_pair(
+        sequences(make_geometric_family(6), stages), stages
+    )
+    v = GridFunction(grid, ((0, 0), (grid, 1)))
+    res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    assert res.step_distances == tuple(Fraction(d) for d in N6_LADDER)
+    assert res.step_bounds == tuple(
+        Fraction(2, 6 ** (n + 1) + 1) for n in range(stages)
+    )
 
 
 def test_synthetic_ladder_functions_have_two_knots():
@@ -406,6 +464,18 @@ def test_intertwining_preserves_order_unit(table):
     assert all(d == 0 for d in res.step_distances)
 
 
+def test_agreement_prefix_compares_maps_by_value():
+    shared = contraction_map(Fraction(1, 4))
+    a = StageEntries(((shared, 3), (constant_map(Fraction(1, 3)), 2)))
+    # the same maps as other objects, and a different last map
+    b = StageEntries(
+        ((contraction_map(Fraction(1, 4)), 2), (shared, 1), (constant_map(Fraction(2, 3)), 2))
+    )
+    assert agreement_prefix(a, a) == 5
+    assert agreement_prefix(a, b) == agreement_prefix(b, a) == 3
+    assert agreement_prefix(a, StageEntries(((identity_map(), 5),))) == 0
+
+
 def test_intertwining_multiplicity_mismatch(table):
     sys_a, sys_b = synthetic_system_pair(table, 3)
     broken = list(sys_b)
@@ -417,8 +487,7 @@ def test_intertwining_multiplicity_mismatch(table):
 
 def direct_push(stage, f):
     """(1/l) sum of f o entry, with no shortcut for constant f."""
-    l = stage.total
-    return _weighted_average(f, [(Fraction(c, l), m) for m, c in stage.entries])
+    return _combine([(stage.total, [(c, f, m) for m, c in stage.entries])])[0]
 
 
 def direct_ladder(system_a, system_b, v, m, horizon):
@@ -588,6 +657,43 @@ def test_density_start_index_matters():
     assert density_check(pts, 0, Fraction(1, 64))
     assert not density_check(pts, 64, Fraction(1, 4))
     assert not density_check([], 0, Fraction(1, 2))
+
+
+def sorted_density(points, n, epsilon):
+    """The window criterion on plainly sorted Fractions."""
+    tail = sorted(points[n:])
+    if not tail or tail[0] > epsilon or 1 - tail[-1] > epsilon:
+        return False
+    return all(b - a <= epsilon for a, b in zip(tail, tail[1:]))
+
+
+def test_density_orders_points_that_tie_in_their_first_64_bits():
+    third, near = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 80)
+    assert (third.numerator << 64) // third.denominator == (
+        (near.numerator << 64) // near.denominator
+    )
+    pts = [Fraction(0), near, third, Fraction(2, 3)]
+    for order in (pts, pts[::-1], [near, Fraction(0), Fraction(2, 3), third]):
+        for epsilon in (Fraction(1, 3), Fraction(1, 3) - Fraction(1, 2 ** 80),
+                        Fraction(1, 3) + Fraction(1, 2 ** 81), Fraction(1, 4)):
+            assert density_check(order, 0, epsilon) == sorted_density(order, 0, epsilon)
+    # In the order of the first 64 bits alone, 0 -> near would be a gap of
+    # 1/3 + 2^-80 and the check would fail.
+    assert density_check(pts, 0, Fraction(1, 3))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.lists(
+        unit_fractions | st.builds(lambda x, k: x + Fraction(1, 2 ** k) * (x < 1),
+                                   unit_fractions, st.integers(60, 90)),
+        max_size=12,
+    ),
+    st.integers(0, 3),
+    unit_fractions.filter(lambda e: e > 0),
+)
+def test_density_matches_plain_sorting(points, n, epsilon):
+    assert density_check(points, n, epsilon) == sorted_density(points, n, epsilon)
 
 
 def test_density_rejects_bad_input():
