@@ -1,12 +1,13 @@
 """End-to-end certification pipeline and the one JSON report format.
 
-Every report is a plain JSON object built by ``report`` from sections
-rendered by ``to_json``, and written by ``render_report`` with canonical
-key order, so identical configurations produce byte-identical reports.
-The rendering rule: every rational is "p/q" in lowest terms; indices and
-counts (horizons, stages, bits, generator counts) are JSON integers; the
-ranks ``N1``/``N2`` and the entries of the sequences d, k, l, r, s, t are
-"p/1".  The canonical text is the one ``json.dumps(payload,
+A report is a dict built by ``report`` whose sections are the results as
+they come: JSON values, ``Fraction``s and result dataclasses.  One walk,
+``render_report``, writes it with canonical key order, so identical
+configurations produce byte-identical reports.  The rendering rule:
+every rational is "p/q" in lowest terms; indices and counts (horizons,
+stages, bits, generator counts) are JSON integers; the ranks ``N1``/``N2``
+and the entries of the sequences d, k, l, r, s, t are "p/1".  On a plain
+JSON payload the canonical text is the one ``json.dumps(payload,
 sort_keys=True, indent=2)`` gives, plus a newline.
 """
 
@@ -90,35 +91,137 @@ ASSUMPTIONS = (
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Reports
 
 
-def to_json(value):
-    """The JSON value of a result: a ``Fraction`` becomes "p/q"; ``str``,
-    ``int``, ``bool`` and ``None`` stay; lists and tuples become lists and
-    dicts dicts; an ``Enclosure`` (the exact side of a link check) becomes
-    its ``side``; a dataclass becomes its fields, as adjusted by
-    ``_REPORT_KEYS``.  Dispatch is on the exact type and each class's keys
-    are built once (``_report_keys``)."""
-    return _RENDERERS.get(type(value), _render_fields)(value)
+def render_report(payload) -> str:
+    """The canonical text of a report: sorted keys, two-space indent,
+    ASCII-escaped strings and a trailing newline, written in one walk.
+
+    It takes JSON values (``str``, ``int``, ``bool``, ``None``, lists,
+    tuples and dicts with ``str`` keys) and the report's own values: a
+    ``Fraction`` is written "p/q", an ``Enclosure`` (the exact side of a
+    link check) as its ``side``, a result dataclass as its fields, as
+    adjusted by ``_REPORT_KEYS``.  On a JSON payload the text is
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, which
+    runs its pure-Python encoder whenever it indents.  Dispatch is on the
+    exact type, with subclasses of the JSON types written as their base.
+    A list whose items are all exactly ``str``, or all exactly ``int``
+    (booleans excluded), is written with one ``join``.  Ints go through
+    ``int.__repr__``, so an int past the 4300-digit limit raises
+    ``ValueError`` as in ``json.dumps``; a float, a set, a non-``str``
+    key or any other class raises ``TypeError``.
+    """
+    parts = []
+    _write(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _render_fields(value) -> dict:
-    return {key: to_json(get(value)) for key, get in _report_keys(type(value))}
+_quote = encode_basestring_ascii
 
 
-def _render_list(value) -> list:
-    return [to_json(x) for x in value]
+def _fraction_text(value: Fraction) -> str:
+    try:
+        return f'"{value.numerator}/{value.denominator}"'
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        return f'"{format_rational(value)}"'
 
 
-_RENDERERS = {
-    Fraction: format_rational,
-    Enclosure: attrgetter("side"),
-    list: _render_list,
-    tuple: _render_list,
-    dict: lambda value: {key: to_json(x) for key, x in value.items()},
-    **dict.fromkeys((str, int, bool, type(None)), lambda value: value),
+#: The text of a value of each exact scalar type.
+_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    Fraction: _fraction_text,
+    Enclosure: lambda value: _quote(value.side),
 }
+
+
+def _write(value, newline: str, emit) -> None:
+    """Emit the JSON text of ``value``; ``newline`` starts its lines."""
+    text = _TEXT.get(type(value))
+    if text is None:
+        _writer(type(value))(value, newline, emit)
+    else:
+        emit(text(value))
+
+
+@functools.cache
+def _writer(cls):
+    """The writer of the values of a class that is not in ``_TEXT``:
+    subclasses of the JSON types are written as their base, a dataclass
+    by its report keys, anything else is refused."""
+    if issubclass(cls, str):
+        return lambda value, newline, emit: emit(_quote(value))
+    if issubclass(cls, int):
+        return lambda value, newline, emit: emit(int.__repr__(value))
+    if issubclass(cls, (list, tuple)):
+        return _write_list
+    if issubclass(cls, dict):
+        return _write_dict
+    if not is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    keys = {f.name: attrgetter(f.name) for f in fields(cls)}
+    keys.update(_REPORT_KEYS.get(cls, {}))
+    keys = tuple((_quote(key), keys[key]) for key in sorted(keys) if keys[key] is not None)
+    return functools.partial(_write_fields, keys, {})
+
+
+def _write_list(value, newline: str, emit) -> None:
+    if not value:
+        emit("[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    kind = type(value[0])
+    if (kind is str or kind is int) and len(set(map(type, value))) == 1:
+        emit("[" + inner)
+        emit(separator.join(map(_TEXT[kind], value)))
+    else:
+        prefix = "[" + inner
+        for item in value:
+            emit(prefix)
+            _write(item, inner, emit)
+            prefix = separator
+    emit(newline + "]")
+
+
+def _write_dict(value: dict, newline: str, emit) -> None:
+    if not value:
+        emit("{}")
+        return
+    inner = newline + "  "
+    prefix = "{" + inner
+    for key in sorted(value):
+        # The C escape raises TypeError for a key that is not a str.
+        emit(prefix + _quote(key) + ": ")
+        _write(value[key], inner, emit)
+        prefix = "," + inner
+    emit(newline + "}")
+
+
+def _write_fields(keys: tuple, layouts: dict, value, newline: str, emit) -> None:
+    """Emit a dataclass by its report ``keys``, (escaped key, getter)
+    pairs in key order; ``layouts`` keeps the text before each value, by
+    indent."""
+    layout = layouts.get(newline)
+    if layout is None:
+        inner = newline + "  "
+        layout = layouts[newline] = tuple(
+            (("," if i else "{") + inner + key + ": ", get)
+            for i, (key, get) in enumerate(keys)
+        )
+    if not layout:
+        emit("{}")
+        return
+    inner = newline + "  "
+    for prefix, get in layout:
+        emit(prefix)
+        _write(get(value), inner, emit)
+    emit(newline + "}")
+
 
 #: Keys a report adds to, renames in or drops from (None) a dataclass's
 #: fields, by class.
@@ -132,23 +235,13 @@ _REPORT_KEYS = {
     rcbounds.RcLowerCertificate: {
         "kappa_lb": None,
         "kappa_lower_bound": attrgetter("kappa_lb"),
-        "N1": lambda cert: Fraction(cert.N1),
-        "N2": lambda cert: Fraction(cert.N2),
+        "N1": lambda cert: format_rational(cert.N1),
+        "N2": lambda cert: format_rational(cert.N2),
         "reverified": methodcaller("reverify"),
     },
     rcbounds.RcUpperResult: {"reverified": methodcaller("reverify")},
     tracesim.GapSeries: {"summable_certified": attrgetter("summable")},
 }
-
-
-@functools.cache
-def _report_keys(cls) -> tuple:
-    """The (key, getter) pairs of a dataclass's report, built once per class."""
-    if not is_dataclass(cls):
-        raise TypeError(f"no JSON rendering for {cls.__name__}")
-    keys = {f.name: attrgetter(f.name) for f in fields(cls)}
-    keys.update(_REPORT_KEYS.get(cls, {}))
-    return tuple((key, get) for key, get in keys.items() if get is not None)
 
 
 def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
@@ -170,7 +263,6 @@ def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
         out["kappa_lower_bound"] = w.kappa_lb
         out["omega_prime_upper_bound"] = w.omega_prime_ub
         out["kappa_lower_bound_vacuous"] = table.kappa_lb_vacuous
-    out = to_json(out)
     if include_sequences:
         for name in ("d", "k", "l"):
             out[name] = sequence_json(getattr(table, name))
@@ -208,13 +300,12 @@ def stage_listings(table: SequenceTable) -> dict:
 
 
 def report(cfg: dict, verdict: str, **sections) -> dict:
-    """A subcommand's report: its rendered sections, the schema version,
-    the config echo and the verdict."""
-    payload = {key: to_json(value) for key, value in sections.items()}
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["config"] = config_echo(cfg)
-    payload["verdict"] = verdict
-    return payload
+    """A subcommand's report: its sections as given, the schema version,
+    the config echo and the verdict, for ``render_report`` to write."""
+    sections["schema_version"] = SCHEMA_VERSION
+    sections["config"] = config_echo(cfg)
+    sections["verdict"] = verdict
+    return sections
 
 
 # ---------------------------------------------------------------------------
@@ -478,59 +569,3 @@ def _decide(table: SequenceTable, rho):
             else:
                 verdict = VERDICT_CERTIFIED
     return verdict, table, constraints, rc_up, sep, notes
-
-
-def render_report(payload: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline.
-
-    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``,
-    written in one pass into one list: ``json.dumps`` runs its pure-Python
-    encoder whenever it indents.  Strings go through the same C escape,
-    ints through ``int.__repr__`` (so an int past the 4300-digit limit
-    raises ``ValueError`` as there); any value but a ``str``, ``int``,
-    ``bool``, ``None``, list, tuple or dict with ``str`` keys raises
-    ``TypeError``, floats included.
-    """
-    parts = []
-    _write(payload, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write(value, newline: str, emit) -> None:
-    """Emit the JSON text of ``value``; ``newline`` starts its lines."""
-    if isinstance(value, str):
-        emit(encode_basestring_ascii(value))
-    elif value is None:
-        emit("null")
-    elif value is True:
-        emit("true")
-    elif value is False:
-        emit("false")
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            emit(separator)
-            _write(item, inner, emit)
-            separator = "," + inner
-        emit(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            # The C escape raises TypeError for a key that is not a str.
-            emit(separator + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, emit)
-            separator = "," + inner
-        emit(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

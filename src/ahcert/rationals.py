@@ -47,12 +47,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Render as "p/q" in lowest terms (always with the denominator)."""
-    f = as_fraction(value)
+    """Render as "p/q" in lowest terms (always with the denominator); an
+    int is "n/1", printed without building a ``Fraction``."""
+    if type(value) is int:
+        p, q = value, 1
+    else:
+        f = as_fraction(value)
+        p, q = f.numerator, f.denominator
     try:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{p}/{q}"
     except ValueError:  # beyond the interpreter's int-to-str digit limit
-        return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+        return f"{_decimal(p)}/{_decimal(q)}"
 
 
 #: Messages print rationals whose numerator and denominator together have

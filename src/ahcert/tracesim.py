@@ -644,7 +644,8 @@ def simulate_intertwining(
     stage n + 1 to H under it.  The pushed difference is the step, so its
     sup norm is the step distance.  A constant difference (the systems
     differ only in point evaluations) passes through Q_(n+1) unchanged,
-    which makes the synthetic ladder cost one fused pass per stage; a
+    so it is not pushed, which makes the synthetic ladder cost one fused
+    pass and one constancy test per stage; a
     general pair costs no more pushes than the direct definition.  The
     rungs w_n are summed from the steps when ``functions`` is first read.
 
@@ -680,6 +681,8 @@ def simulate_intertwining(
         difference = [(c, u, g) for c, g in b._terms] + [(-c, u, g) for c, g in a._terms]
         u, step = _combine([(a.total, pushed), (a.total, difference)])
         for j in range(n + 1, horizon):
+            if step.is_constant:  # every later push returns it unchanged
+                break
             step = system_b[j].push(step)
         steps.append(step)
 

@@ -20,6 +20,11 @@ def test_rationals_round_trip_beyond_the_digit_limit(value):
     assert parse_rational(format_rational(value)) == value
 
 
+def test_integers_format_past_the_digit_limit():
+    assert format_rational(10 ** 4400) == "1" + "0" * 4400 + "/1"
+    assert format_rational(-(10 ** 4400)) == "-1" + "0" * 4400 + "/1"
+
+
 @pytest.mark.parametrize(
     "text", ["1" * 5000 + "x", "--" + "1" * 5000, "1" * 5000 + "/0", "1/" + "0" * 5000]
 )

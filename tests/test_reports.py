@@ -1,9 +1,11 @@
 """Golden reports: every subcommand re-renders its committed report byte
-for byte, the one serializer renders the report's types, and the writer
-gives the text ``json.dumps(sort_keys=True, indent=2)`` gives."""
+for byte, the one writer renders the report's types, and it gives the
+text ``json.dumps(sort_keys=True, indent=2)`` gives."""
 
 import json
 import os
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,15 @@ from hypothesis import strategies as st
 from ahcert.cli import main
 from ahcert.params import (
     Check,
+    Enclosure,
     make_explicit_family,
     make_geometric_family,
     sequences,
 )
-from ahcert.pipeline import VERDICT_EXIT, render_report, table_json, to_json
+from ahcert.pipeline import VERDICT_EXIT, certify_theorem, render_report, table_json
 from ahcert.rationals import format_rational
 from ahcert.rcbounds import RcLowerCertificate
+from ahcert.tracesim import GapSeries
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -70,10 +74,14 @@ def test_golden_reports_cover_every_verdict():
     assert verdicts == set(VERDICT_EXIT)
 
 
-def test_to_json_renders_checks_certificates_and_plain_values():
+def _rendered(value):
+    return json.loads(render_report({"v": value}))["v"]
+
+
+def test_render_report_writes_checks_certificates_and_plain_values():
     enclosure = sequences(make_geometric_family(6), 4).enclosures[0]
     link = Check("kappa_lb", Fraction(53, 64), "<=", enclosure, True)
-    assert to_json(link) == {
+    assert _rendered(link) == {
         "name": "kappa_lb", "lhs": "53/64", "rel": "<=",
         "rhs": "s(4)/r(4) (1 - tail(4))", "holds": True,
     }
@@ -83,19 +91,28 @@ def test_to_json_renders_checks_certificates_and_plain_values():
         endpoint_lambda0=Fraction(5, 3), kappa_lb=Fraction(13, 16),
         omega=Fraction(1, 7), checks=(),
     )
-    out = to_json(cert)
+    out = _rendered(cert)
     assert out["N1"] == "334/1" and out["N2"] == "501/1"
     assert out["n0"] == 1 and out["n"] == 2
     assert out["kappa_lower_bound"] == "13/16" and "kappa_lb" not in out
     assert out["reverified"] is True and out["checks"] == []
-    assert to_json((None, True, 3, "x", {"a": Fraction(-1, 2)})) == [
+    assert _rendered((None, True, 3, "x", {"a": Fraction(-1, 2)})) == [
         None, True, 3, "x", {"a": "-1/2"},
     ]
 
 
-def test_to_json_refuses_an_unknown_type():
+def test_render_report_refuses_an_unknown_type():
     with pytest.raises(TypeError):
-        to_json(1.5)
+        _rendered(1.5)
+
+
+def test_the_traced_certify_pair_writes_the_golden_bytes():
+    """``render_report(certify_theorem(...).to_jsonable())`` is the pair
+    the benchmark tracer wraps by name; it writes what ``certify`` prints."""
+    with open(os.path.join(GOLDEN, "certify_n6_h40.json"), encoding="utf-8") as fh:
+        golden = fh.read()
+    report = certify_theorem({"N": 6, "horizon": 40})
+    assert render_report(report.to_jsonable()) == golden
 
 
 def test_every_golden_re_renders_from_its_parsed_payload():
@@ -135,11 +152,103 @@ def test_render_report_is_the_indented_sorted_dumps(payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"a": 1.5}, [0.0], {1: "x"}, {"a": {None: 1}}, {"a": Fraction(1, 2)}, {"a": {1, 2}}],
+    [{"a": 1.5}, [0.0], {1: "x"}, {"a": {None: 1}}, {"a": [Decimal(1)]}, {"a": {1, 2}}],
 )
 def test_render_report_refuses_floats_non_str_keys_and_other_types(payload):
     with pytest.raises(TypeError):
         render_report(payload)
+
+
+def test_render_report_writes_a_fraction_as_p_over_q():
+    assert render_report({"a": Fraction(1, 2)}) == '{\n  "a": "1/2"\n}\n'
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n, past the int-to-str digit limit too."""
+    return str(Decimal(n))
+
+
+def plain(value):
+    """The JSON value of ``value`` by the documented rendering rule: a
+    ``Fraction`` is "p/q", an ``Enclosure`` its ``side``, a check or
+    certificate its report keys, with the ranks N1/N2 as "p/1"."""
+    if isinstance(value, Fraction):
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    if isinstance(value, Enclosure):
+        return value.side
+    if isinstance(value, Check):
+        return {key: plain(getattr(value, key)) for key in ("name", "lhs", "rel", "rhs", "holds")}
+    if isinstance(value, RcLowerCertificate):
+        out = {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+        out["kappa_lower_bound"] = out.pop("kappa_lb")
+        out["N1"] = f"{_digits(value.N1)}/1"
+        out["N2"] = f"{_digits(value.N2)}/1"
+        out["reverified"] = value.reverify()
+        return out
+    if isinstance(value, GapSeries):
+        out = {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+        out["summable_certified"] = value.total_bound is not None
+        return out
+    if isinstance(value, (list, tuple)):
+        return [plain(x) for x in value]
+    if isinstance(value, dict):
+        return {key: plain(x) for key, x in value.items()}
+    return value
+
+
+_huge = st.integers(-(10 ** 6), 10 ** 6).map(lambda n: n * 10 ** 4400 + 1)
+_fractions = (
+    st.fractions()
+    | st.builds(Fraction, _huge, st.integers(1, 10 ** 6))
+    | st.builds(Fraction, st.integers(-9, 9), _huge.map(abs))
+)
+_enclosures = st.sampled_from(sequences(make_geometric_family(6), 4).enclosures)
+_checks = st.builds(
+    Check,
+    _text,
+    _fractions,
+    st.sampled_from(("<", "<=", ">", ">=", "==")),
+    _fractions | _enclosures,
+    st.booleans(),
+)
+_check_tuples = st.lists(_checks, max_size=3).map(tuple)
+_certificates = st.builds(
+    RcLowerCertificate,
+    rho=_fractions, delta=_fractions, epsilon=_fractions,
+    n0=st.integers(0, 50), n=st.integers(0, 50),
+    N1=st.integers(0, 10 ** 6) | _huge.map(abs), N2=st.integers(0, 10 ** 6),
+    endpoint_lambda1=_fractions, endpoint_lambda0=_fractions,
+    kappa_lb=_fractions, omega=_fractions, checks=_check_tuples,
+)
+_gap_series = st.builds(
+    GapSeries, _fractions, st.none() | _fractions, st.booleans(), _check_tuples
+)
+_results = st.recursive(
+    _scalars | _fractions | _checks | _certificates | _gap_series,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_results)
+@example([1, True])
+@example([True, False])
+@example(["a", 1])
+@example([0, None])
+@example({"a": [1, 10 ** 4300, 2]})  # one entry of 4301 digits
+def test_render_report_writes_what_the_documented_rule_gives(tree):
+    try:
+        expected = json.dumps(plain(tree), sort_keys=True, indent=2) + "\n"
+    except ValueError:  # an int past the int-to-str digit limit
+        with pytest.raises(ValueError):
+            render_report(tree)
+        return
+    assert render_report(tree) == expected
 
 
 def test_render_report_keeps_the_int_digit_limit():
