@@ -3,41 +3,18 @@
 Exit codes: 0 certified / verified, 1 refuted by an exact counter-witness,
 2 inconclusive at the given horizon, 3 malformed input (including usage
 errors), 4 internal failure (a bug, never a verdict).
-"""
 
-from __future__ import annotations
+Importing this module loads only ``errors`` from the package; each handler
+imports what it runs, by function-local ``from .x import f`` at each call.
+"""
 
 import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
-from . import chern as chern_mod
-from . import rcbounds, tracesim
-from .telescope import telescope as run_telescope
+from .errors import EXIT_INCONCLUSIVE, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR
 from .errors import ConsistencyError, InconclusiveAtHorizon, InputError
-from .params import check_constraints, first_decided, sequences
-from .pipeline import (
-    EXIT_INPUT_ERROR,
-    EXIT_INTERNAL_ERROR,
-    HORIZON_LIMITED_REASON,
-    SPEC_KEYS,
-    VERDICT_CERTIFIED,
-    VERDICT_EXIT,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_REFUTED,
-    build_family,
-    certify_theorem,
-    check_horizon,
-    refuse_unknown_keys,
-    render_report,
-    report,
-    resolve_config,
-    sequence_json,
-    table_json,
-)
-from .rationals import as_fraction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +92,8 @@ def _read_json(path: str):
             raise InputError(f"{path}: {exc}") from exc
 
 
-def load_config(args: argparse.Namespace) -> dict:
+def merge_config(args: argparse.Namespace) -> dict:
+    """The config file, the spec file and the flags, merged in that order."""
     config = {}
     if args.config:
         loaded = _read_json(args.config)
@@ -123,6 +101,7 @@ def load_config(args: argparse.Namespace) -> dict:
             raise InputError("config file must contain a JSON object")
         config.update(loaded)
     if getattr(args, "spec", None):
+        from .pipeline import SPEC_KEYS, refuse_unknown_keys
         spec = _read_json(args.spec)
         if not isinstance(spec, dict):
             raise InputError("family spec file must contain a JSON object")
@@ -133,11 +112,17 @@ def load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    return resolve_config(config)
+    return config
+
+
+def load_config(args: argparse.Namespace) -> dict:
+    from .pipeline import resolve_config
+    return resolve_config(merge_config(args))
 
 
 def emit(cfg: dict, payload: dict) -> int:
     """Write the report to stdout or ``--out``; return its verdict's exit code."""
+    from .pipeline import VERDICT_EXIT, render_report
     text = render_report(payload)
     out_path = cfg.get("out")
     if out_path:
@@ -153,6 +138,9 @@ def emit(cfg: dict, payload: dict) -> int:
 
 
 def cmd_params(args):
+    from .params import check_constraints, first_decided, sequences
+    from .pipeline import (HORIZON_LIMITED_REASON, VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
+                           VERDICT_REFUTED, build_family, report, table_json)
     cfg = load_config(args)
     family = build_family(cfg)
     constraints = first_decided(
@@ -180,16 +168,22 @@ def cmd_params(args):
 
 
 def cmd_certify(args):
-    cfg = load_config(args)
-    return cfg, certify_theorem(cfg).to_jsonable()
+    from .pipeline import certify_theorem
+    result = certify_theorem(merge_config(args))
+    return result.config, result.to_jsonable()
 
 
 def cmd_rc_bound(args):
     """``rc-lower`` and ``rc-upper``: one certificate attempt on the table."""
+    from . import rcbounds
+    from .params import first_decided, sequences
+    from .pipeline import (HORIZON_LIMITED_REASON, VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
+                           build_family, report)
+    from .rationals import as_fraction
     cfg = load_config(args)
     table = sequences(build_family(cfg), cfg["horizon"])
     if args.command == "rc-lower":
-        rho = as_fraction(cfg["rho"]) if cfg["rho"] is not None else Fraction(3, 2)
+        rho = as_fraction(cfg["rho"] or "3/2")
         key, attempt = "certificate", lambda t: rcbounds.certify_rc_lower(t, rho)
     else:
         key, attempt = "rc_upper", rcbounds.rc_upper
@@ -204,16 +198,21 @@ def cmd_rc_bound(args):
 
 
 def cmd_chern(args):
+    from .chern import MAX_GENERATORS, min_trivial_embedding_rank
+    from .pipeline import VERDICT_CERTIFIED, report
     cfg = load_config(args)
     if args.k < 0:
         raise InputError(f"--k must be >= 0, got {args.k}")
-    if args.k > chern_mod.MAX_GENERATORS:
-        raise InputError(f"--k {args.k} exceeds the cap {chern_mod.MAX_GENERATORS}")
-    rows = [chern_mod.min_trivial_embedding_rank(k) for k in range(args.k + 1)]
+    if args.k > MAX_GENERATORS:
+        raise InputError(f"--k {args.k} exceeds the cap {MAX_GENERATORS}")
+    rows = [min_trivial_embedding_rank(k) for k in range(args.k + 1)]
     return cfg, report(cfg, VERDICT_CERTIFIED, embedding_ranks=rows)
 
 
 def cmd_telescope(args):
+    from .pipeline import (VERDICT_CERTIFIED, VERDICT_REFUTED, build_family, report,
+                           sequence_json, table_json)
+    from .telescope import telescope
     cfg = load_config(args)
     if not args.nu:
         raise InputError("telescope needs --nu, e.g. --nu 0,1,3")
@@ -221,7 +220,7 @@ def cmd_telescope(args):
         nu = [int(x) for x in args.nu.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise InputError(f"malformed --nu {args.nu!r}: {exc}") from exc
-    result = run_telescope(build_family(cfg), nu, cfg["horizon"])
+    result = telescope(build_family(cfg), nu, cfg["horizon"])
     new = result.new_table
     return cfg, report(
         cfg,
@@ -235,6 +234,9 @@ def cmd_telescope(args):
 
 
 def cmd_trace_sim(args):
+    from . import tracesim
+    from .params import sequences
+    from .pipeline import VERDICT_CERTIFIED, build_family, check_horizon, report
     cfg = load_config(args)
     stages = args.stages
     if stages < 0:
@@ -267,6 +269,9 @@ def cmd_trace_sim(args):
 
 
 def cmd_density(args):
+    from . import tracesim
+    from .pipeline import VERDICT_CERTIFIED, VERDICT_REFUTED, report
+    from .rationals import as_fraction
     cfg = load_config(args)
     if args.points:
         points = [as_fraction(tok) for tok in args.points.split(",") if tok.strip()]
@@ -308,7 +313,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_ERROR
     except InconclusiveAtHorizon as exc:
         print(f"inconclusive at horizon: {exc}", file=sys.stderr)
-        return VERDICT_EXIT[VERDICT_INCONCLUSIVE]
+        return EXIT_INCONCLUSIVE
     except Exception as exc:  # the outermost boundary: one line, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

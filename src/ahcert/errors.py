@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and process exit codes shared across the package."""
+
+EXIT_CERTIFIED = 0
+EXIT_REFUTED = 1
+EXIT_INCONCLUSIVE = 2
+EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class InputError(ValueError):

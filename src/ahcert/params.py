@@ -72,7 +72,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, eq, ge, gt, le, lt, mul
+from operator import add, attrgetter, eq, ge, gt, le, lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
@@ -749,11 +749,16 @@ class ConstraintEntry:
     def holds(self) -> bool:
         return self.status == STATUS_PASS
 
+    _report_keys = {"holds": attrgetter("holds")}
+
 
 @dataclass(frozen=True)
 class ConstraintReport:
     entries: tuple
     table: SequenceTable
+
+    _report_keys = {"table": None, "all_passed": attrgetter("all_passed"),
+                    "exactly_refuted": attrgetter("exactly_refuted")}
 
     @property
     def all_passed(self) -> bool:

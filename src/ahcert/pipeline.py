@@ -3,12 +3,14 @@
 A report is a dict built by ``report`` whose sections are the results as
 they come: JSON values, ``Fraction``s and result dataclasses.  One walk,
 ``render_report``, writes it with canonical key order, so identical
-configurations produce byte-identical reports.  The rendering rule:
-every rational is "p/q" in lowest terms; indices and counts (horizons,
-stages, bits, generator counts) are JSON integers; the ranks ``N1``/``N2``
-and the entries of the sequences d, k, l, r, s, t are "p/1".  On a plain
-JSON payload the canonical text is the one ``json.dumps(payload,
-sort_keys=True, indent=2)`` gives, plus a newline.
+configurations produce byte-identical reports.  Each result class names
+its own report keys (``_report_keys``), so this module imports
+``rcbounds`` and ``tracesim`` only when ``certify_theorem`` runs them.
+The rendering rule: every rational is "p/q" in lowest terms; indices and
+counts (horizons, stages, bits, generator counts) are JSON integers; the
+ranks ``N1``/``N2`` and the entries of the sequences d, k, l, r, s, t are
+"p/1".  On a plain JSON payload the canonical text is the one
+``json.dumps(payload, sort_keys=True, indent=2)`` gives, plus a newline.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import functools
 from dataclasses import dataclass, fields, is_dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, methodcaller
-from typing import Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional
 
-from . import rcbounds, tracesim
-from .errors import InconclusiveAtHorizon, InputError
+# The exit codes are defined in errors; pipeline.EXIT_* name them too.
+from .errors import EXIT_CERTIFIED, EXIT_INCONCLUSIVE, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR
+from .errors import EXIT_REFUTED, InconclusiveAtHorizon, InputError
 from .params import (
-    ConstraintEntry,
     ConstraintReport,
     Enclosure,
     ParamFamily,
@@ -38,19 +41,15 @@ from .params import (
     table_majorant,
 )
 from .rationals import as_fraction, format_rational
-from .tracesim import flip_compatibility, gap_series
+
+if TYPE_CHECKING:  # the result types in TheoremReport's annotations
+    from . import rcbounds, tracesim
 
 SCHEMA_VERSION = "4"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
 VERDICT_INCONCLUSIVE = "InconclusiveAtHorizon"
-
-EXIT_CERTIFIED = 0
-EXIT_REFUTED = 1
-EXIT_INCONCLUSIVE = 2
-EXIT_INPUT_ERROR = 3
-EXIT_INTERNAL_ERROR = 4
 
 HORIZON_LIMITED_REASON = (
     "family has no tail majorant: bounds are horizon-limited, so "
@@ -102,7 +101,7 @@ def render_report(payload) -> str:
     tuples and dicts with ``str`` keys) and the report's own values: a
     ``Fraction`` is written "p/q", an ``Enclosure`` (the exact side of a
     link check) as its ``side``, a result dataclass as its fields, as
-    adjusted by ``_REPORT_KEYS``.  On a JSON payload the text is
+    adjusted by its class's ``_report_keys``.  On a JSON payload the text is
     ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, which
     runs its pure-Python encoder whenever it indents.  Dispatch is on the
     exact type, with subclasses of the JSON types written as their base.
@@ -152,7 +151,9 @@ def _write(value, newline: str, emit) -> None:
 def _writer(cls):
     """The writer of the values of a class that is not in ``_TEXT``:
     subclasses of the JSON types are written as their base, a dataclass
-    by its report keys, anything else is refused."""
+    by its report keys, anything else is refused.  A dataclass's report
+    keys are its fields, updated by its ``_report_keys``: a getter per key
+    it adds or renames, None per field it drops."""
     if issubclass(cls, str):
         return lambda value, newline, emit: emit(_quote(value))
     if issubclass(cls, int):
@@ -164,7 +165,7 @@ def _writer(cls):
     if not is_dataclass(cls):
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
     keys = {f.name: attrgetter(f.name) for f in fields(cls)}
-    keys.update(_REPORT_KEYS.get(cls, {}))
+    keys.update(getattr(cls, "_report_keys", {}))
     keys = tuple((_quote(key), keys[key]) for key in sorted(keys) if keys[key] is not None)
     return functools.partial(_write_fields, keys, {})
 
@@ -221,27 +222,6 @@ def _write_fields(keys: tuple, layouts: dict, value, newline: str, emit) -> None
         emit(prefix)
         _write(get(value), inner, emit)
     emit(newline + "}")
-
-
-#: Keys a report adds to, renames in or drops from (None) a dataclass's
-#: fields, by class.
-_REPORT_KEYS = {
-    ConstraintReport: {
-        "table": None,
-        "all_passed": attrgetter("all_passed"),
-        "exactly_refuted": attrgetter("exactly_refuted"),
-    },
-    ConstraintEntry: {"holds": attrgetter("holds")},
-    rcbounds.RcLowerCertificate: {
-        "kappa_lb": None,
-        "kappa_lower_bound": attrgetter("kappa_lb"),
-        "N1": lambda cert: format_rational(cert.N1),
-        "N2": lambda cert: format_rational(cert.N2),
-        "reverified": methodcaller("reverify"),
-    },
-    rcbounds.RcUpperResult: {"reverified": methodcaller("reverify")},
-    tracesim.GapSeries: {"summable_certified": attrgetter("summable")},
-}
 
 
 def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
@@ -322,12 +302,15 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 #: and H 640, and the cap is what bounds that size; see README.
 MAX_HORIZON = 640
 
+#: Grid points of ``trace-sim``'s test function when no ``grid`` is given.
+DEFAULT_RESOLUTION = 2 ** 12
+
 DEFAULT_CONFIG = {
     "family": "geometric",
     "N": 6,
     "horizon": 40,
     "rho": None,
-    "grid": tracesim.DEFAULT_RESOLUTION,
+    "grid": DEFAULT_RESOLUTION,
 }
 
 #: The keys a family spec file may set, and with them every key a config
@@ -495,6 +478,13 @@ class TheoremReport:
         )
 
 
+@functools.cache
+def _module(name: str):
+    """Module ``name`` of this package, imported on first use.  Callers read its
+    functions at each call, so they run a wrapped or patched one."""
+    return import_module(f".{name}", __package__)
+
+
 def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
     """Run the full chain: constraints, corner separation, flip, gap series.
 
@@ -529,14 +519,15 @@ def certify_theorem(config: Optional[dict] = None) -> TheoremReport:
         constraints=constraints,
         rc_upper=rc_up,
         separation=sep,
-        flip=flip_compatibility(table),
-        gaps=gap_series(table),
+        flip=_module("tracesim").flip_compatibility(table),
+        gaps=_module("tracesim").gap_series(table),
         notes=tuple(notes),
     )
 
 
 def _decide(table: SequenceTable, rho):
     """The chain's verdict at the table's witness precision."""
+    rcbounds = _module("rcbounds")
     constraints = check_constraints(table)
     rc_up = None
     sep = None

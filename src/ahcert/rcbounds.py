@@ -42,11 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, methodcaller
 from typing import Optional, Sequence
 
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
 from .params import Check, SequenceTable, check
-from .rationals import as_fraction, brief, shown
+from .rationals import as_fraction, brief, format_rational, shown
 
 #: Denominators tried for delta are the powers of two up to this one.
 DELTA_DENOMINATOR_CAP = 2 ** 20
@@ -92,6 +93,14 @@ class RcLowerCertificate:
     omega: Fraction
     checks: tuple
 
+    _report_keys = {
+        "kappa_lb": None,
+        "kappa_lower_bound": attrgetter("kappa_lb"),
+        "N1": lambda cert: format_rational(cert.N1),
+        "N2": lambda cert: format_rational(cert.N2),
+        "reverified": methodcaller("reverify"),
+    }
+
     def reverify(self) -> bool:
         return verify_checks(self.checks)
 
@@ -102,6 +111,8 @@ class RcUpperResult:
 
     certified_limit_bound: Fraction
     checks: tuple
+
+    _report_keys = {"reverified": methodcaller("reverify")}
 
     def reverify(self) -> bool:
         return verify_checks(self.checks)

@@ -37,18 +37,16 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 from math import ceil, gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
 from .params import SequenceTable, check
 from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction, shown
-
-DEFAULT_RESOLUTION = 2 ** 12
 
 #: The most ladder stages ``trace-sim`` runs.  The synthetic ladder
 #: telescopes into one fused pass per stage (``simulate_intertwining``),
@@ -520,6 +518,8 @@ class GapSeries:
     horizon_limited: bool
     checks: tuple
 
+    _report_keys = {"summable_certified": attrgetter("summable")}
+
     @property
     def summable(self) -> bool:
         return self.total_bound is not None
@@ -721,19 +721,20 @@ def synthetic_system_pair(
     """
     if stages > table.horizon:
         raise InputError(f"table horizon {table.horizon} < requested stages {stages}")
-    sys_a = []
-    sys_b = []
-    for n in range(stages):
-        d, k = table.d[n + 1], table.k[n + 1]
-        shared, point_a, point_b = _synthetic_maps(n)
-        entries_a = [(shared, d)] if d else []
-        entries_b = list(entries_a)
-        if k:
-            entries_a.append((point_a, k))
-            entries_b.append((point_b, k))
-        sys_a.append(StageEntries(tuple(entries_a)))
-        sys_b.append(StageEntries(tuple(entries_b)))
-    return sys_a, sys_b
+    pairs = [_synthetic_stage(n, table.d[n + 1], table.k[n + 1]) for n in range(stages)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+@lru_cache(maxsize=1024)  # bounded: explicit tables may bring any d and k
+def _synthetic_stage(n: int, d: int, k: int) -> tuple:
+    """Stage n of both synthetic systems: frozen, and fixed by n, d(n+1), k(n+1)."""
+    shared, point_a, point_b = _synthetic_maps(n)
+    entries_a = [(shared, d)] if d else []
+    entries_b = list(entries_a)
+    if k:
+        entries_a.append((point_a, k))
+        entries_b.append((point_b, k))
+    return StageEntries(tuple(entries_a)), StageEntries(tuple(entries_b))
 
 
 @cache

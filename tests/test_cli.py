@@ -317,6 +317,38 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert on_disk["verdict"] == "Certified"
 
 
+def test_certify_resolves_its_config_once(tmp_path, capsys, monkeypatch):
+    import ahcert.pipeline
+
+    calls = []
+    original = ahcert.pipeline.resolve_config
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(ahcert.pipeline, "resolve_config", counting)
+    spec = tmp_path / "family.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "d": [1, 6, 36, 216, 1296],
+                "k": [0, 1, 1, 1, 1],
+                "tail": {"type": "geometric", "N": 6},
+            }
+        )
+    )
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(
+        capsys, "certify", "--spec", str(spec), "--horizon", "4", "--out", str(out)
+    )
+    assert len(calls) == 1
+    assert code == 0 and stdout == f"Certified: {out}\n"
+    on_disk = json.loads(out.read_text())
+    assert on_disk["config"]["d"] == [1, 6, 36, 216, 1296]
+    assert on_disk["config"]["tail"] == {"type": "geometric", "N": 6}
+
+
 def test_missing_config_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "certify", "--config", "/nonexistent.json")
     assert code == 3 and "input error" in err
@@ -370,25 +402,25 @@ def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):
 
 
 def test_internal_failure_has_its_own_exit_code(monkeypatch, capsys):
-    from ahcert import cli
+    import ahcert.chern
     from ahcert.errors import ConsistencyError
 
     def broken(k):
         raise ConsistencyError("cross-check failed")
 
-    monkeypatch.setattr(cli.chern_mod, "min_trivial_embedding_rank", broken)
+    monkeypatch.setattr(ahcert.chern, "min_trivial_embedding_rank", broken)
     code, out, err = run_cli(capsys, "chern", "--k", "2")
     assert code == 4 and out == ""
     assert "internal consistency failure" in err
 
 
 def test_unexpected_exception_is_one_line_exit_four(monkeypatch, capsys):
-    from ahcert import cli
+    import ahcert.chern
 
     def broken(k):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli.chern_mod, "min_trivial_embedding_rank", broken)
+    monkeypatch.setattr(ahcert.chern, "min_trivial_embedding_rank", broken)
     code, out, err = run_cli(capsys, "chern", "--k", "2")
     assert code == 4 and out == ""
     assert "Traceback" not in err
@@ -675,12 +707,12 @@ def test_trace_sim_stages_are_capped_up_front(capsys):
 
 
 def test_trace_sim_refuses_negative_stages_up_front(capsys, monkeypatch):
-    import ahcert.cli as cli
+    import ahcert.params
 
     def no_tabulation(*args):
         raise AssertionError("tabulated before refusing --stages")
 
-    monkeypatch.setattr(cli, "sequences", no_tabulation)
+    monkeypatch.setattr(ahcert.params, "sequences", no_tabulation)
     code, out, err = run_cli(capsys, "trace-sim", "--stages", "-1", "--grid", "64")
     assert code == 3 and out == ""
     assert "--stages" in err and "start" not in err

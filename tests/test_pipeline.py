@@ -64,11 +64,41 @@ def test_import_loads_no_module_and_each_export_resolves_on_use():
 def test_importing_the_telescope_module_keeps_the_telescope_export():
     run_fresh("""
         import sys
-        import ahcert.cli
+        import ahcert.telescope
 
         assert ahcert.telescope is sys.modules["ahcert.telescope"].telescope
         assert callable(ahcert.telescope)
     """)
+
+
+def test_each_cli_path_loads_only_the_modules_it_runs():
+    run_fresh("""
+        import sys
+        import ahcert.cli
+
+        loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "ahcert")
+        assert loaded == ["ahcert", "ahcert.cli", "ahcert.errors"], loaded
+    """)
+    geometric = ["--N", "6", "--horizon", "12"]
+    density = ["density", "--van-der-corput", "8", "--epsilon", "1/4"]
+    no_trace_side = {"tracesim", "chern", "telescope"}
+    for argv, absent in (
+        (["chern", "--k", "3"], {"rcbounds", "tracesim", "ranks", "telescope"}),
+        (["params", *geometric], no_trace_side),
+        (["rc-upper", *geometric], no_trace_side),
+        (["rc-lower", "--rho", "3/2", *geometric], no_trace_side),
+        (["certify", *geometric], {"chern", "telescope"}),
+        (density, {"rcbounds", "chern", "telescope"}),
+    ):
+        run_fresh(f"""
+            import contextlib, io, sys
+            from ahcert.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({argv!r}) == 0
+            loaded = {{m.partition(".")[2] for m in sys.modules if m.startswith("ahcert.")}}
+            assert not loaded & {absent!r}, sorted(loaded & {absent!r})
+        """)
 
 
 def test_certify_tabulates_once(monkeypatch):
