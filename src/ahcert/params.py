@@ -44,8 +44,9 @@ the witness grid, say) is the exact value read (Ziv, "Fast evaluation of
 elementary mathematical functions with correctly rounded last bit", ACM
 TOMS 17(3), 1991).  p only sets how often that happens.  Each step of a
 product subtracts a short quotient rather than multiplying by d(j)
-(``_chain_ends``).  On a shared 2-vCPU VM under Python 3.11 an
-in-process ``certify --N 12 --horizon 640`` takes 1.1-1.5 ms.
+(``_chain_ends``), and a step whose quotients are all 0, 1 or -1 is
+only counted.  On a shared 2-vCPU VM under Python 3.11 an in-process
+``certify --N 12 --horizon 640`` takes 0.75-1.3 ms.
 
 The exact bounds read four horizon values, computed on first read and
 shared by every refinement of the table (``HorizonValues``): s(H) is a
@@ -272,7 +273,7 @@ def table_majorant(d: Sequence[int], k: Sequence[int], values: Sequence):
     return tail
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Check:
     """One recorded comparison ``lhs rel rhs``, re-derivable from its sides.
 
@@ -282,6 +283,11 @@ class Check:
     its numerator and denominator and reported as its ``side``, an
     expression in the tabulated sequences, so its digits are never
     printed.
+
+    A certify run builds about forty of these.  A frozen dataclass sets
+    each field through ``object.__setattr__``, which more than doubles the
+    cost of building one; a slots dataclass assigns them directly.  So a
+    record is mutable and unhashable; nothing here changes or hashes one.
     """
 
     name: str
@@ -636,6 +642,14 @@ def _chain_ends(k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
     and the quotient, at most x in size, shrinks to a few bits as l(j)
     grows.  When 2 k(j) > l(j) the factor is negative and swaps the ends;
     then |d(j) - k(j)| <= k(j), so the product stays as short.
+
+    A step is *settled* when k(j) 2^(p+1) < l(j), as in most steps of a
+    long geometric horizon, where l(j) outgrows 2^p.  The ends stay in
+    0 <= s <= 2^p and |q| <= 2^p, so each quotient of a settled step
+    rounds a number in (-1, 1): it is 0, 1 or -1, set by the sign of the
+    end, by whether k(j) > 0 and by the direction of rounding.  Such a
+    step is counted, not divided, and a run of them is applied at once
+    (``_settled``), giving the same integers.
     """
     p = bits + (len(k) - 1).bit_length() + _GUARD
     one = 1 << p
@@ -648,9 +662,20 @@ def _chain_ends(k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
     # minus its j = 1 term, which the loop adds back.
     w_lo = -((k[1] << p) // l[1])
     w_hi = (-k[1] << p) // l[1]
+    # A step is settled when k(j) 2^(p+1) < l(j); m counts the settled
+    # steps with k(j) > 0 not yet applied to the ends (_settled).
+    m = 0
+    p1 = p + 1
     # Ceilings are taken as ceil(x/l) = (x - 1)//l + 1: a dividend that
     # stays nonnegative spares the floor division its adjustment by l.
     for kj, lj in zip(k[1:], l[1:]):
+        if kj << p1 < lj:
+            if kj:
+                m += 1
+            continue
+        if m:
+            s_lo, q_lo, q_hi, w_hi = _settled(m, s_lo, q_lo, q_hi, w_hi)
+            m = 0
         s_lo -= (s_lo * kj - 1) // lj + 1
         s_hi -= s_hi * kj // lj
         k2 = 2 * kj
@@ -663,6 +688,7 @@ def _chain_ends(k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
         x = kj << p
         w_lo += x // lj
         w_hi += (x - 1) // lj + 1
+    s_lo, q_lo, q_hi, w_hi = _settled(m, s_lo, q_lo, q_hi, w_hi)
     # kappa_lb = kappa_ub (b - a)/b, exactly; b - a < 0 swaps the ends.
     c = b - a
     kappa_lb = (s_lo * c, s_hi * c) if c >= 0 else (s_hi * c, s_lo * c)
@@ -675,6 +701,24 @@ def _chain_ends(k: tuple, l: tuple, a: int, b: int, bits: int) -> dict:
         # t(H)/r(H) = (1 - q)/2, so tau_ub = ((1 - q) b + 2a)/(2b).
         "tau_ub": ((one - q_hi) * b + 2 * tail, (one - q_lo) * b + 2 * tail, 2 * one * b),
     }
+
+
+def _settled(m: int, s_lo: int, q_lo: int, q_hi: int, w_hi: int) -> tuple:
+    """The chain ends that move, after m settled steps with k(j) > 0.
+
+    Such a step rounds numbers in (-1, 1) that are 0 only at a zero end:
+    a ceiling of a positive one is 1 and a floor 0, a ceiling of a
+    negative one 0 and a floor -1.  So s_lo and a positive q_lo fall by 1
+    a step down to 0, a negative q_hi rises by 1 up to 0, and w_hi, whose
+    summand k(j) 2^p/l(j) is positive, rises by 1; s_hi, w_lo and any
+    other q end stay.
+    """
+    return (
+        max(s_lo - m, 0),
+        max(q_lo - m, 0) if q_lo > 0 else q_lo,
+        min(q_hi + m, 0) if q_hi < 0 else q_hi,
+        w_hi + m,
+    )
 
 
 #: Bits of the chains below the widening allowance.  The ends of a value

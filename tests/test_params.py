@@ -197,8 +197,28 @@ def reference_chain_ends(d, k, l, a, b, bits):
     }
 
 
+# Stages whose l(j) exceeds k(j) 2^(p+1), p the chains' bits (23-31
+# here, from l(1) <= 7), are settled: every quotient of the step is 0, 1
+# or -1, and _chain_ends counts them instead of dividing.  l(j) near 2^90
+# between single digits makes settled runs between unsettled steps.
+_SETTLED_RUNS = (
+    [1, 2, 2 ** 90, 3, 2 ** 90 + 1, 2 ** 91, 5, 2 ** 92, 2 ** 90, 2 ** 93, 4],
+    [0, 1, 1, 1, 3, 1, 2, 1, 2, 1, 1],
+)
+# d(2) = 0 drives s to 0 (and l(2) < 2 k(2) turns q negative) before a run.
+_SETTLED_AT_ZERO = ([1, 2, 0, 2 ** 90, 2 ** 91, 2 ** 92], [0, 1, 1, 1, 1, 1])
+# 2 k(1) > l(1) makes the q interval negative with s > 0 before a run.
+_SETTLED_NEGATIVE = ([1, 1, 2 ** 90, 2 ** 91, 2 ** 92], [0, 2, 1, 1, 1])
+# k(j) = 0 is settled at any l(j): inside a run, and as the last stage.
+_SETTLED_K_ZERO = ([1, 3, 1, 4, 2 ** 90, 6, 9], [0, 1, 0, 0, 1, 2, 0])
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(explicit_tables())
+@example((*_SETTLED_RUNS, Fraction(1, 5), 10, []))
+@example((*_SETTLED_AT_ZERO, Fraction(1, 7), 5, []))
+@example((*_SETTLED_NEGATIVE, None, 4, []))
+@example((*_SETTLED_K_ZERO, Fraction(2, 3), 6, []))
 @example((*_ON_THE_GRID, Fraction(1, 4), 2, []))
 @example((*_EDGES, Fraction(3, 2), 11, []))  # a vacuous tail, stages with k > d
 @example(([1, 0, 3, 0], [0, 5, 0, 2], Fraction(1, 9), 3, []))  # d(j) = 0 and k(j) = 0

@@ -2,6 +2,7 @@
 for byte, the one writer renders the report's types, and it gives the
 text ``json.dumps(sort_keys=True, indent=2)`` gives."""
 
+import hashlib
 import json
 import os
 from dataclasses import fields
@@ -64,6 +65,29 @@ def test_report_matches_its_golden_bytes(name, capsys):
     assert captured.err == ""
     assert captured.out == golden
     assert code == VERDICT_EXIT[json.loads(golden)["verdict"]]
+
+
+#: certify_manifest.json maps ``certify --N N --horizon H``, for N 2..12
+#: and these horizons, to its exit code and the sha256 of its report, so
+#: the bytes of far more certify reports than the goldens above are pinned.
+MANIFEST_HORIZONS = (1, 2, 3, 5, 8, 40, 120, 200, 640)
+
+
+def test_certify_reports_match_their_manifest_hashes(capsys):
+    with open(os.path.join(GOLDEN, "certify_manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    seen = {}
+    for N in range(2, 13):
+        for H in MANIFEST_HORIZONS:
+            argv = ["certify", "--N", str(N), "--horizon", str(H)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            seen[" ".join(argv)] = {
+                "exit": code,
+                "sha256": hashlib.sha256(captured.out.encode()).hexdigest(),
+            }
+    assert seen == manifest
 
 
 def test_golden_reports_cover_every_verdict():
