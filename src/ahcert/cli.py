@@ -142,9 +142,8 @@ def cmd_params(args):
     from .pipeline import (HORIZON_LIMITED_REASON, VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
                            VERDICT_REFUTED, build_family, report, table_json)
     cfg = load_config(args)
-    family = build_family(cfg)
     constraints = first_decided(
-        sequences(family, cfg["horizon"]),
+        sequences(build_family(cfg), cfg["horizon"]),
         check_constraints,
         decided=lambda r: r.all_passed or r.exactly_refuted,
     )
@@ -160,8 +159,7 @@ def cmd_params(args):
     return cfg, report(
         cfg,
         verdict,
-        family=family.description,
-        constants=table_json(constraints.table, include_sequences=True),
+        constants=table_json(constraints.table),
         constraints=constraints,
         **sections,
     )
@@ -257,7 +255,6 @@ def cmd_trace_sim(args):
         "step_distances": result.step_distances,
         "step_bounds": result.step_bounds,
         "all_within_bounds": True,
-        "synthetic_maps": True,
     }
     return cfg, report(
         cfg,

@@ -79,9 +79,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
 from .rationals import as_fraction, brief
 
-GEOMETRIC = "geometric"
-EXPLICIT = "explicit"
-
 #: Evidence levels for constraint verdicts.
 EVIDENCE_EXACT = "exact"                      # finite data decides it outright
 EVIDENCE_CERTIFIED = "certified-bound"        # via a one-sided certified bound
@@ -106,7 +103,6 @@ class ParamFamily:
     columns_of: Callable[[int], tuple]
     tail_majorant: Optional[Callable[[int], Fraction]] = None
     length: Optional[int] = None
-    description: dict = field(default_factory=dict)
 
     def d(self, n: int) -> int:
         return self.columns(n)[0][n]
@@ -162,18 +158,13 @@ def make_geometric_family(N: int) -> ParamFamily:
             raise InputError(f"tail majorant index must be >= 0, got {n}")
         return Fraction(1, N ** n * (N - 1))
 
-    return ParamFamily(
-        columns_of=columns_of,
-        tail_majorant=tail,
-        description={"kind": GEOMETRIC, "N": N},
-    )
+    return ParamFamily(columns_of=columns_of, tail_majorant=tail)
 
 
 def make_explicit_family(
     d: Sequence[int],
     k: Sequence[int],
     tail_majorant: Optional[Callable[[int], Fraction]] = None,
-    description: Optional[dict] = None,
 ) -> ParamFamily:
     """Wrap explicit integer lists d, k (indexed from stage 0).
 
@@ -191,15 +182,10 @@ def make_explicit_family(
     for n, (dn, kn) in enumerate(zip(d, k)):
         if not isinstance(dn, int) or not isinstance(kn, int) or dn < 0 or kn < 0:
             raise InputError(f"d({n}), k({n}) must be nonnegative integers")
-    desc = dict(description or {})
-    desc.setdefault("kind", EXPLICIT)
-    desc.setdefault("d", list(d))
-    desc.setdefault("k", list(k))
     return ParamFamily(
         columns_of=lambda n: (tuple(d[: n + 1]), tuple(k[: n + 1])),
         tail_majorant=tail_majorant,
         length=len(d) - 1,
-        description=desc,
     )
 
 

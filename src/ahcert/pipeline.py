@@ -8,8 +8,10 @@ its own report keys (``_report_keys``), so this module imports
 ``rcbounds`` and ``tracesim`` only when ``certify_theorem`` runs them.
 The rendering rule: every rational is "p/q" in lowest terms; indices and
 counts (horizons, stages, bits, generator counts) are JSON integers; the
-ranks ``N1``/``N2`` and the entries of the sequences d, k, l, r, s, t are
-"p/1".  On a plain JSON payload the canonical text is the one
+ranks ``N1``/``N2`` and the d and k entries of a telescoped family are
+"p/1".  No report lists the stages of the tabulated family: the config
+echo states the family, and the constants are its witnesses at the
+horizon.  On a plain JSON payload the canonical text is the one
 ``json.dumps(payload, sort_keys=True, indent=2)`` gives, plus a newline.
 """
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields, is_dataclass, replace
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
@@ -45,7 +46,7 @@ from .rationals import as_fraction, format_rational
 if TYPE_CHECKING:  # the result types in TheoremReport's annotations
     from . import rcbounds, tracesim
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
@@ -224,7 +225,7 @@ def _write_fields(keys: tuple, layouts: dict, value, newline: str, emit) -> None
     emit(newline + "}")
 
 
-def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
+def table_json(table: SequenceTable) -> dict:
     """The constants are the table's witnesses, each with its link check."""
     w = table.witness
     out = {
@@ -243,40 +244,12 @@ def table_json(table: SequenceTable, include_sequences: bool = False) -> dict:
         out["kappa_lower_bound"] = w.kappa_lb
         out["omega_prime_upper_bound"] = w.omega_prime_ub
         out["kappa_lower_bound_vacuous"] = table.kappa_lb_vacuous
-    if include_sequences:
-        for name in ("d", "k", "l"):
-            out[name] = sequence_json(getattr(table, name))
-        out.update(stage_listings(table))
     return out
 
 
 def sequence_json(values) -> list:
     """Sequence entries, integers included, rendered "p/q"."""
     return [format_rational(x) for x in values]
-
-
-#: Integer arithmetic in ``decimal``: no digit may be lost, so rounding
-#: raises instead of printing a wrong entry.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-
-
-def stage_listings(table: SequenceTable) -> dict:
-    """Every stage of r, s and t, rendered "p/1".
-
-    The recursions r <- l r, s <- d s, t <- d t + k (r - t) run in
-    ``decimal``, whose integers print in time linear in their digits,
-    where ``str`` of an int is quadratic and refuses more than 4300.
-    """
-    r, s, t = map(Decimal, table.stage(0))
-    rs, ss, ts = [f"{r}/1"], [f"{s}/1"], [f"{t}/1"]
-    with localcontext(_EXACT):
-        for j in range(1, table.horizon + 1):
-            d, k, l = map(Decimal, (table.d[j], table.k[j], table.l[j]))
-            r, s, t = l * r, d * s, d * t + k * (r - t)
-            rs.append(f"{r}/1")
-            ss.append(f"{s}/1")
-            ts.append(f"{t}/1")
-    return {"r": rs, "s": ss, "t": ts}
 
 
 def report(cfg: dict, verdict: str, **sections) -> dict:
@@ -296,10 +269,7 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 #: starting witnesses off directed-rounding chains of H steps on numbers of
 #: about H log2 N bits, and builds the exact horizon values (products of H
 #: such integers, about M(H^2) log H bit operations, M(n): one n-bit
-#: multiplication) only when they are read.  ``params`` lists every stage
-#: of r, s and t in time linear in the report's bytes (``stage_listings``),
-#: but the report holds about H^3 log10 N / 2 decimal digits, 103 MB at N 6
-#: and H 640, and the cap is what bounds that size; see README.
+#: multiplication) only when they are read; see README.
 MAX_HORIZON = 640
 
 #: Grid points of ``trace-sim``'s test function when no ``grid`` is given.
@@ -465,7 +435,6 @@ class TheoremReport:
         return report(
             self.config,
             self.verdict,
-            family=self.family.description,
             constants=table_json(self.table),
             constraints=self.constraints,
             rc_upper=self.rc_upper,

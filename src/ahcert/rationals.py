@@ -35,7 +35,7 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (decimal integers, optional leading sign)."""
+    """Parse "p/q" or "p" (ASCII decimal integers, optional leading sign)."""
     s = text.strip()
     try:
         if "/" in s:
@@ -122,20 +122,20 @@ _INT_DIGITS = 600
 
 
 def _integer(text: str) -> int:
-    """int(text), also beyond the interpreter's str-to-int digit limit.
+    """The integer of a numeral ``[+-]?[0-9]+`` in ASCII, surrounding
+    whitespace aside; int() alone would also take ``3_0`` and non-ASCII
+    digits.
 
-    The inverse of _decimal: a long run of ASCII digits is split in two,
-    each half read on its own and the two combined by a power of ten, so
-    no interpreter setting changes.
+    The inverse of _decimal, also beyond the interpreter's str-to-int
+    digit limit: a long run of digits is split in two, each half read on
+    its own and the two combined by a power of ten, so no interpreter
+    setting changes.
     """
     s = text.strip()
-    digits = s.lstrip("+-")
-    if len(digits) <= _INT_DIGITS or len(s) - len(digits) > 1:
-        return int(s)
+    digits = s[1:] if s[:1] in ("+", "-") else s
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int(): {text!r}")
-    sign = -1 if s[0] == "-" else 1
-    return sign * _digits(digits)
+        raise ValueError(f"invalid literal for int() with base 10: {s!r}")
+    return -_digits(digits) if s[0] == "-" else _digits(digits)
 
 
 def _digits(digits: str) -> int:

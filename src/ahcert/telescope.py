@@ -120,18 +120,7 @@ def telescope(family: ParamFamily, nu: Sequence[int], horizon: int) -> Telescope
                 raise InputError(f"inherited tail defined for 0..{len(_pts) - 1}")
             return _pts[m]
 
-    new_family = make_explicit_family(
-        new_d,
-        new_k,
-        tail_majorant=inherited_tail,
-        description={
-            "kind": "explicit",
-            "telescoped_from": dict(family.description),
-            "nu": list(nu),
-            "d": list(new_d),
-            "k": list(new_k),
-        },
-    )
+    new_family = make_explicit_family(new_d, new_k, tail_majorant=inherited_tail)
     new_horizon = len(nu) - 1
     new = sequences(new_family, new_horizon)
 

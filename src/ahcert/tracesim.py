@@ -728,7 +728,7 @@ def synthetic_system_pair(
 @lru_cache(maxsize=1024)  # bounded: explicit tables may bring any d and k
 def _synthetic_stage(n: int, d: int, k: int) -> tuple:
     """Stage n of both synthetic systems: frozen, and fixed by n, d(n+1), k(n+1)."""
-    shared, point_a, point_b = _synthetic_maps(n)
+    shared, point_a, point_b = _stage_maps(n)
     entries_a = [(shared, d)] if d else []
     entries_b = list(entries_a)
     if k:
@@ -738,7 +738,7 @@ def _synthetic_stage(n: int, d: int, k: int) -> tuple:
 
 
 @cache
-def _synthetic_maps(n: int) -> tuple:
+def _stage_maps(n: int) -> tuple:
     """Stage n's synthetic maps, which depend on n alone: the contraction
     toward vdc(3n) and the point evaluations at vdc(3n + 1) and vdc(3n + 2).
     Built on first use and kept for the process."""

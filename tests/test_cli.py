@@ -6,6 +6,7 @@ import sys
 import time
 
 from ahcert.cli import main
+from ahcert.params import make_geometric_family, sequences
 from ahcert.pipeline import HORIZON_LIMITED_REASON
 from ahcert.rationals import as_fraction, format_rational
 
@@ -52,7 +53,7 @@ def test_certify_base_six_certified(capsys):
     assert len(report["flip"]["checks"]) == 4
     assert all(c["holds"] for c in report["flip"]["checks"])
     assert report["gap_series"]["summable_certified"] is True
-    assert report["schema_version"] == "4"
+    assert report["schema_version"] == "5"
 
 
 def test_certify_reports_have_no_floats(capsys):
@@ -91,8 +92,10 @@ def test_certify_inconclusive_at_horizon_one(capsys):
 
 
 def test_certify_bad_rho_is_input_error(capsys):
-    code, out, err = run_cli(capsys, "certify", "--N", "6", "--rho", "1/1")
-    assert code == 3 and "input error" in err
+    # int() alone reads the last two as 3/2; only ASCII digits are numerals.
+    for rho in ("1/1", "3_0/2_0", "\u0663/\u0662"):
+        code, out, err = run_cli(capsys, "certify", "--N", "6", "--rho", rho)
+        assert code == 3 and out == "" and "input error" in err, rho
 
 
 # 4400 nines: past the interpreter's 4300-digit int-to-str limit.
@@ -133,10 +136,10 @@ def test_integers_past_the_str_digit_limit_in_input_files_are_input_errors(tmp_p
 def test_params_subcommand(capsys):
     code, report = run_json(capsys, "params", "--N", "6", "--horizon", "2")
     assert code == 0
-    constants = report["constants"]
-    assert constants["omega"] == "1/7"
-    assert constants["r"] == ["1/1", "7/1", "259/1"]
-    assert constants["t"] == ["0/1", "1/1", "42/1"]
+    assert report["constants"]["omega"] == "1/7"
+    table = sequences(make_geometric_family(6), 2)
+    assert [table.stage(n).r for n in range(3)] == [1, 7, 259]
+    assert [table.stage(n).t for n in range(3)] == [0, 1, 42]
     assert report["constraints"]["all_passed"] is True
     for _, text in walk_rationals(report):
         num, den = text.split("/")
@@ -202,7 +205,6 @@ def test_trace_sim_subcommand(capsys):
     sim = report["intertwining"]
     assert sim["all_within_bounds"] is True
     assert sim["step_bounds"][0] == "2/7"
-    assert sim["synthetic_maps"] is True
     assert report["gap_series"]["summable_certified"] is True
 
 
@@ -369,14 +371,15 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["embedding_ranks"][3]["min_rank"] == 6
 
 
-def test_params_lists_a_large_horizon_in_time_linear_in_its_bytes(capsys):
-    # 12 976 730 bytes of r, s and t; str() of each int took 4 s in total.
-    start = time.perf_counter()
-    code = main(["params", "--N", "6", "--horizon", "320"])
-    elapsed = time.perf_counter() - start
-    out = capsys.readouterr().out
-    assert code == 0 and len(out) == 12_976_730
-    assert elapsed < 2.0, f"params --N 6 --horizon 320 took {elapsed:.2f} s"
+def test_params_reports_stay_small_at_every_horizon(capsys):
+    # Schema "5" lists no stage and no family section.
+    for N in (2, 6, 12):
+        for H in (1, 40, 640):
+            code, out, _ = run_cli(capsys, "params", "--N", str(N), "--horizon", str(H))
+            assert code in (0, 1, 2) and len(out) < 8192, (N, H, code, len(out))
+            report = json.loads(out)
+            assert "family" not in report and report["schema_version"] == "5"
+            assert not {"d", "k", "l", "r", "s", "t"} & set(report["constants"]), (N, H)
 
 
 def test_params_without_a_tail_majorant_is_inconclusive(capsys):
@@ -390,15 +393,17 @@ def test_params_without_a_tail_majorant_is_inconclusive(capsys):
 
 
 def test_certify_renders_integers_beyond_the_str_digit_limit(capsys):
-    # certify reports carry short witnesses only; the params sequence
-    # lists still hold integers past the 4300-digit str() limit.
-    code, report = run_json(capsys, "params", "--N", "6", "--horizon", "120")
+    # certify reports carry short witnesses only; a telescoped family's
+    # d still holds an integer past the 4300-digit str() limit.
+    code, report = run_json(
+        capsys, "telescope", "--N", "6", "--horizon", "120", "--nu", "0,1,120"
+    )
     assert code == 0
     assert report["verdict"] == "Certified"
-    for name in ("r", "s", "t"):
-        last = report["constants"][name][-1]
-        assert len(last) > 4300
-        assert format_rational(as_fraction(last)) == last
+    last = report["new_family"]["d"][-1]  # d(2) = 6^(2 + ... + 120), 5649 digits
+    assert len(last) == 5649 + len("/1")
+    assert as_fraction(last) == 6 ** sum(range(2, 121))
+    assert format_rational(as_fraction(last)) == last
 
 
 def test_internal_failure_has_its_own_exit_code(monkeypatch, capsys):

@@ -26,7 +26,17 @@ def test_integers_format_past_the_digit_limit():
 
 
 @pytest.mark.parametrize(
-    "text", ["1" * 5000 + "x", "--" + "1" * 5000, "1" * 5000 + "/0", "1/" + "0" * 5000]
+    "text",
+    [
+        "1" * 5000 + "x",
+        "--" + "1" * 5000,
+        "1" * 5000 + "/0",
+        "1/" + "0" * 5000,
+        # int() reads these two as 30/20 and 3/2; only ASCII digits are numerals.
+        "3_0/2_0",
+        "\u0663/\u0662",
+        "1" * 300 + "_" + "1" * 301,  # 601 digits
+    ],
 )
 def test_long_malformed_numerals_are_refused(text):
     with pytest.raises(InputError):

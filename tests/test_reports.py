@@ -14,15 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahcert.cli import main
-from ahcert.params import (
-    Check,
-    Enclosure,
-    make_explicit_family,
-    make_geometric_family,
-    sequences,
-)
-from ahcert.pipeline import VERDICT_EXIT, certify_theorem, render_report, table_json
-from ahcert.rationals import format_rational
+from ahcert.params import Check, Enclosure, make_geometric_family, sequences
+from ahcert.pipeline import VERDICT_EXIT, certify_theorem, render_report
 from ahcert.rcbounds import RcLowerCertificate
 from ahcert.tracesim import GapSeries
 
@@ -281,32 +274,3 @@ def test_render_report_keeps_the_int_digit_limit():
         json.dumps(payload, sort_keys=True, indent=2)
     with pytest.raises(ValueError):
         render_report(payload)
-
-
-def _assert_listings_match_the_stages(table):
-    out = table_json(table, include_sequences=True)
-    for n in range(table.horizon + 1):
-        stage = table.stage(n)
-        got = (out["r"][n], out["s"][n], out["t"][n])
-        assert got == tuple(format_rational(x) for x in stage), n
-    return out
-
-
-_entries = st.one_of(st.integers(0, 4), st.integers(0, 60), st.integers(0, 10 ** 12))
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(st.lists(
-    st.tuples(_entries, _entries).filter(lambda p: p != (0, 0)),
-    min_size=1, max_size=30,
-))
-@example([(0, 3), (5, 0), (0, 1), (7, 0), (6, 1)])  # stages with d = 0 and k = 0
-def test_stage_listings_match_the_tabulated_stages(pairs):
-    d = [1] + [dj for dj, _ in pairs]
-    k = [0] + [kj for _, kj in pairs]
-    _assert_listings_match_the_stages(sequences(make_explicit_family(d, k), len(pairs)))
-
-
-def test_stage_listings_pass_the_str_digit_limit():
-    out = _assert_listings_match_the_stages(sequences(make_geometric_family(12), 100))
-    assert all(len(out[name][-1]) > 4300 for name in ("r", "s", "t"))
