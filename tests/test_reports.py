@@ -83,6 +83,30 @@ def test_certify_reports_match_their_manifest_hashes(capsys):
     assert seen == manifest
 
 
+#: trace_sim_manifest.json does the same for ``trace-sim --N N --stages S
+#: --grid G``, for N 2..12 and these stage counts and grids.
+MANIFEST_STAGES = (0, 1, 2, 5, 10, 56)
+MANIFEST_GRIDS = (1, 4096)
+
+
+def test_trace_sim_reports_match_their_manifest_hashes(capsys):
+    with open(os.path.join(GOLDEN, "trace_sim_manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    seen = {}
+    for N in range(2, 13):
+        for S in MANIFEST_STAGES:
+            for G in MANIFEST_GRIDS:
+                argv = ["trace-sim", "--N", str(N), "--stages", str(S), "--grid", str(G)]
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                seen[" ".join(argv)] = {
+                    "exit": code,
+                    "sha256": hashlib.sha256(captured.out.encode()).hexdigest(),
+                }
+    assert seen == manifest
+
+
 def test_golden_reports_cover_every_verdict():
     verdicts = set()
     for name in CASES:
