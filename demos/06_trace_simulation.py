@@ -35,13 +35,13 @@ print(f"  total deviation = {plan.deviation} < eps/2 = {epsilon / 2}")
 
 print()
 print("Averaging compositions against a weighted reference operator:")
-f = GridFunction.from_callable(lambda x: x * x, 256)
+f = GridFunction.from_callable(lambda x: 1 - x / 2, 256)  # trace functions are affine
 h = [identity_map(), constant_map(Fraction(0))]
 ref = [(Fraction(2, 3), h[0]), (Fraction(1, 3), h[1])]
 plan2 = round_convex_weights([w for w, _ in ref], epsilon, N)
 maps = [m for m, c in zip(h, plan2.multiplicities) for _ in range(c)]
 (_, gap), = averaged_composition([f], maps, ref)
-print(f"  grid gap for f(x) = x^2: {gap} (~ {float(gap):.5f}) < eps = {epsilon}")
+print(f"  grid gap for f(x) = 1 - x/2: {gap} (~ {float(gap):.5f}) < eps = {epsilon}")
 
 print()
 table = sequences(make_geometric_family(6), 12)

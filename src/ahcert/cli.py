@@ -33,6 +33,17 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged and returns a fresh namespace, so
     one parser serves every ``main`` call in a process.
     """
+    from .rationals import integer as numeral
+
+    def integer(text: str) -> int:
+        """An ASCII numeral (int() alone takes 1_0 and non-ASCII digits) within
+        int()'s digit limit, past which no report or message could print it."""
+        numeral(text)
+        return int(text)
+
+    def integers(text: str) -> list:
+        return [integer(x) for x in text.split(",") if x.strip()]
+
     parser = _Parser(
         prog="ahcert",
         description=(
@@ -48,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON file mirroring the flags")
         p.add_argument("--family", choices=["geometric", "explicit"])
-        p.add_argument("--N", type=int, help="geometric family base")
+        p.add_argument("--N", type=integer, help="geometric family base")
         p.add_argument("--spec", help="JSON file with explicit d, k (and tail)")
-        p.add_argument("--horizon", type=int)
+        p.add_argument("--horizon", type=integer)
         p.add_argument("--rho", help="rational p/q")
-        p.add_argument("--grid", type=int, help="grid resolution")
+        p.add_argument("--grid", type=integer, help="grid resolution")
         p.add_argument("--out", help="write the JSON report to this path")
         return p
 
@@ -61,22 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
     command("rc-lower", cmd_rc_bound)
     command("rc-upper", cmd_rc_bound)
     command("chern", cmd_chern).add_argument(
-        "--k", type=int, default=10, help="verify ranks for 0..k (default 10)"
+        "--k", type=integer, default=10, help="verify ranks for 0..k (default 10)"
     )
     command("telescope", cmd_telescope).add_argument(
-        "--nu", help="comma-separated stage selection, e.g. 0,1,3"
+        "--nu", type=integers, help="comma-separated stage selection, e.g. 0,1,3"
     )
     command("trace-sim", cmd_trace_sim).add_argument(
-        "--stages", type=int, default=8, help="intertwining ladder stages"
+        "--stages", type=integer, default=8, help="intertwining ladder stages"
     )
     p_den = command("density", cmd_density)
     p_den.add_argument("--points", help="comma-separated rationals in [0,1]")
     p_den.add_argument(
-        "--van-der-corput", type=int, dest="vdc", help="use the first M points"
+        "--van-der-corput", type=integer, dest="vdc", help="use the first M points"
     )
     p_den.add_argument("--epsilon", default="1/64", help="window width (rational)")
     p_den.add_argument(
-        "--start-index", type=int, default=0, help="discard points before this index"
+        "--start-index", type=integer, default=0, help="discard points before this index"
     )
     return parser
 
@@ -214,11 +225,7 @@ def cmd_telescope(args):
     cfg = load_config(args)
     if not args.nu:
         raise InputError("telescope needs --nu, e.g. --nu 0,1,3")
-    try:
-        nu = [int(x) for x in args.nu.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"malformed --nu {args.nu!r}: {exc}") from exc
-    result = telescope(build_family(cfg), nu, cfg["horizon"])
+    result = telescope(build_family(cfg), args.nu, cfg["horizon"])
     new = result.new_table
     return cfg, report(
         cfg,

@@ -40,8 +40,8 @@ def parse_rational(text: str) -> Fraction:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(_integer(num), _integer(den))
-        return Fraction(_integer(s))
+            return Fraction(integer(num), integer(den))
+        return Fraction(integer(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {text!r}: {exc}") from exc
 
@@ -121,7 +121,7 @@ def _decimal(n: int) -> str:
 _INT_DIGITS = 600
 
 
-def _integer(text: str) -> int:
+def integer(text: str) -> int:
     """The integer of a numeral ``[+-]?[0-9]+`` in ASCII, surrounding
     whitespace aside; int() alone would also take ``3_0`` and non-ASCII
     digits.

@@ -1,59 +1,39 @@
 """Desk-scale simulation of the trace-space machinery on [0, 1].
 
-Functions live on a uniform grid over [0, 1] and their samples are exact
-rationals, stored as knots: the samples at a few grid indices, with every
-other sample on the segment between its neighbouring knots.  Pushing a
-function through one stage of a diagonal system averages its compositions
-with the stage's entry maps (piecewise-linear self-maps of the interval,
-or point evaluations).  Each map holds its pieces as integer affine forms,
-built once from its breakpoints and scaled once per grid resolution, and
-one fused pass samples every composition of a push only where it can
-bend, on integers, with one fraction per output knot: the cost follows
-the number of knots, not the grid size.  The pass takes its rows as
-integer multiplicities over one row denominator, (l, [(c, g, m), ...])
-for (1/l) sum c (g o m), so a stage push is its entries' multiplicities
-over their total and no weight is a fraction; callers with rational
-weights bring them to one denominator first.  The quantities being
-checked (per-step gaps, rounding errors) are exact rationals, all sup
-norms are grid sup norms, and every comparison against a stage-gap bound
-is a theorem about the grid functions.
-
-A push is linear and unital on grid functions, so the intertwining
-ladder telescopes: each rung is the next one plus the pushed stage
-difference, a constant difference passes through every later stage
-unchanged, and the rungs are summed only when read.  The synthetic
-systems' stage-n maps depend on n alone, so they are built on first use
-and shared by every later pair in the process.
-
-The stage-gap series and the flip need no stage-by-stage loop: the
-series is enclosed by the table's constants, and the flip by its stage-0
-check plus the inductive step that the t recursion gives, so each is a
-fixed number of checks at every horizon.
+Every interval map here is affine, x -> offset + slope x (the
+contractions, the point evaluations and the identity), and averaging
+compositions f o m with weights that sum to one keeps f affine, so every
+trace function is held as its offset and slope, and a stage push is
+composition with the stage's mean entry map, computed once per stage.
+Functions are indexed by a uniform grid {i/G : 0 <= i <= G}.  An affine
+function's grid sup is its larger absolute end value, since both ends
+are grid points, so every sup norm is exact and no output depends on G.
+The checked quantities (per-step gaps, rounding errors) are exact
+rationals.  The stage-gap series and the flip are each a fixed number of
+checks at every horizon (``gap_series``, ``flip_compatibility``).
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
-from math import ceil, gcd, lcm
-from operator import attrgetter, itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from math import ceil
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
 from .params import SequenceTable, check
 from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction, shown
 
-#: The most ladder stages ``trace-sim`` runs.  The synthetic ladder
-#: telescopes into one fused pass per stage (``simulate_intertwining``),
-#: but its samples carry denominators of order stages^2 bits, about 4100
-#: bits at this cap for N = 6, so each pass gets dearer as the stage count
-#: grows.  At this cap a cold run takes about as long as ``certify`` at
-#: ``pipeline.MAX_HORIZON``, most of it interpreter start-up and imports.
+#: The most ladder stages ``trace-sim`` runs.  A stage is a few rational
+#: operations (``simulate_intertwining``), but the exact step distances
+#: carry denominators of order stages^2 bits, about 4100 bits at this cap
+#: for N = 6, so the report grows like stages^3.  At this cap a cold run
+#: takes about as long as ``certify`` at ``pipeline.MAX_HORIZON``.
 MAX_STAGES = 56
 
 #: The most points ``density --van-der-corput`` generates.  Every point is
@@ -69,76 +49,35 @@ MAX_POINTS = 2 ** 15
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
-    """A piecewise-linear self-map of [0, 1] given by its breakpoints.
+    """An affine self-map x -> offset + slope x of [0, 1]: a piecewise-linear
+    map with one piece, the only kind the simulation composes with."""
 
-    Each piece is also kept as an integer affine form in grid units: at
-    resolution G it sends grid index i to grid position (a i + G e)/c,
-    with integers a, e and c > 0 set by the breakpoints alone.
-    """
-
-    breakpoints: tuple
+    offset: Fraction
+    slope: Fraction
 
     def __post_init__(self):
-        pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.breakpoints)
-        if len(pts) < 2:
-            raise InputError("need at least two breakpoints")
-        ints = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
-        if ints[0][0] != 0 or ints[-1][0] != ints[-1][1]:
-            raise InputError("breakpoints must span [0, 1]")
-        forms = []
-        for (p0, q0, r0, t0), (p1, q1, r1, t1) in zip(ints, ints[1:]):
-            run = p1 * q0 - p0 * q1  # (x1 - x0) q0 q1
-            if run <= 0:
-                raise InputError("breakpoint abscissae must be strictly increasing")
-            rise = r1 * t0 - r0 * t1  # (y1 - y0) t0 t1
-            a, e, c = rise * q0 * q1, r0 * t1 * run - rise * q1 * p0, t0 * t1 * run
-            g = gcd(a, e, c)
-            forms.append((a // g, e // g, c // g, p0, q0, r0, t0, r1, t1))
-        if any(not 0 <= r <= t for _, _, r, t in ints):
+        offset, slope = as_fraction(self.offset), as_fraction(self.slope)
+        # an affine map sends [0, 1] onto the segment between its end values
+        if not (0 <= offset <= 1 and 0 <= offset + slope <= 1):
             raise InputError("map leaves [0, 1]")
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "_forms", tuple(forms))
-        object.__setattr__(self, "_by_resolution", {})
-
-    def _pieces(self, G: int) -> tuple:
-        """The pieces at resolution G: the first grid index of each, and each
-        as (a, G e, c, floor and ceiling of its start G x0, and its image
-        range in grid units rounded outward).  The map is immutable, so
-        each resolution's pieces are built once."""
-        known = self._by_resolution.get(G)
-        if known is None:
-            pieces = tuple(
-                (a, G * e, c, G * p0 // q0, -(-G * p0 // q0),
-                 min(G * r0 // t0, G * r1 // t1), max(-(-G * r0 // t0), -(-G * r1 // t1)))
-                for a, e, c, p0, q0, r0, t0, r1, t1 in self._forms
-            )
-            known = self._by_resolution[G] = (tuple(piece[4] for piece in pieces), pieces)
-        return known
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "slope", slope)
 
     def __call__(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise InputError(f"argument {x} outside [0, 1]")
-        pts = self.breakpoints
-        i = bisect.bisect_right(pts, x, key=itemgetter(0)) - 1
-        if i == len(pts) - 1:
-            return pts[-1][1]
-        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return self.offset + self.slope * x
 
 
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 def identity_map() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap(((_ZERO, _ZERO), (_ONE, _ONE)))
-
-
-_IDENTITY = identity_map()
+    return PiecewiseLinearMap(_ZERO, _ONE)
 
 
 def constant_map(c) -> PiecewiseLinearMap:
-    c = as_fraction(c)
-    return PiecewiseLinearMap(((_ZERO, c), (_ONE, c)))
+    return PiecewiseLinearMap(c, _ZERO)
 
 
 def contraction_map(center, factor=_HALF) -> PiecewiseLinearMap:
@@ -147,11 +86,16 @@ def contraction_map(center, factor=_HALF) -> PiecewiseLinearMap:
     factor = as_fraction(factor)
     if not 0 <= factor < 1:
         raise InputError(f"contraction factor must be in [0, 1), got {factor}")
-    p, q, r, s = center.numerator, center.denominator, factor.numerator, factor.denominator
-    # center (1 - factor) and center (1 - factor) + factor, over q s
-    return PiecewiseLinearMap(
-        ((_ZERO, Fraction(p * (s - r), q * s)), (_ONE, Fraction(p * (s - r) + r * q, q * s)))
-    )
+    return PiecewiseLinearMap(center - factor * center, factor)
+
+
+def _average(weighted_maps: Iterable[Tuple[Fraction, PiecewiseLinearMap]]) -> tuple:
+    """(offset, slope) of the affine map sum w m over (w, m) pairs."""
+    offset = slope = _ZERO
+    for w, m in weighted_maps:
+        offset += w * m.offset
+        slope += w * m.slope
+    return offset, slope
 
 
 def _radical_inverse(i: int, base: int) -> Fraction:
@@ -180,132 +124,93 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """An exact function on the uniform grid {i/G : 0 <= i <= G}, as knots.
-
-    ``knots`` is ((i, value), ...) with integer indices running strictly
-    upward from 0 to G = ``resolution``; the sample at any index not
-    listed lies on the segment between its neighbouring knots.  Knots
-    collinear with their neighbours are dropped on construction, so the
-    knot list is the shortest one for the samples and equal functions
-    compare equal.  Every operation costs time in the number of knots,
-    not in G; ``values`` expands the G + 1 samples.
+    """An exact affine function x -> offset + slope x on the uniform grid
+    {i/G : 0 <= i <= G}, given by ``knots`` ((i, value), ...) with integer
+    indices running strictly upward from 0 to G = ``resolution``, all on
+    one line.  Only the end knots are kept, so equal functions compare
+    equal; ``values`` expands the G + 1 samples.
     """
 
     resolution: int
     knots: tuple
+    offset: Fraction = field(init=False, repr=False, compare=False)
+    slope: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.resolution, int) or self.resolution < 1:
-            raise InputError(
-                f"resolution must be an integer >= 1, got {self.resolution}"
-            )
+        G = self.resolution
+        if not isinstance(G, int) or G < 1:
+            raise InputError(f"resolution must be an integer >= 1, got {G}")
         knots = tuple((i, as_fraction(v)) for i, v in self.knots)
         idx = [i for i, _ in knots]
-        if not idx or idx[0] != 0 or idx[-1] != self.resolution:
-            raise InputError(f"knots must run from index 0 to {self.resolution}")
-        if any(not isinstance(i, int) for i in idx) or any(
-            b <= a for a, b in zip(idx, idx[1:])
-        ):
+        if not idx or idx[0] != 0 or idx[-1] != G:
+            raise InputError(f"knots must run from index 0 to {G}")
+        if any(not isinstance(i, int) for i in idx) or any(b <= a for a, b in zip(idx, idx[1:])):
             raise InputError("knot indices must be strictly increasing integers")
-        self._settle(knots)
+        first, last = knots[0][1], knots[-1][1]
+        for i, v in knots[1:-1]:
+            if v * G != first * (G - i) + last * i:
+                raise InputError(
+                    f"trace functions are affine, but the samples at indices 0, {i} "
+                    f"and {G} are not collinear"
+                )
+        object.__setattr__(self, "knots", (knots[0], knots[-1]))
+        object.__setattr__(self, "offset", first)
+        object.__setattr__(self, "slope", last - first)
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int):
-        return cls(
-            resolution,
-            tuple((i, fn(Fraction(i, resolution))) for i in range(resolution + 1)),
-        )
+        G = resolution
+        return cls(G, tuple((i, fn(Fraction(i, G))) for i in range(G + 1)))
 
     @classmethod
     def constant(cls, value, resolution: int):
         return cls(resolution, ((0, value), (resolution, value)))
 
-    @classmethod
-    def _from_valid_knots(cls, resolution: int, knots: tuple) -> "GridFunction":
-        """Build from knots already in form (Fraction values, indices
-        strictly increasing from 0 to ``resolution``), compressing only."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "resolution", resolution)
-        f._settle(knots)
-        return f
-
-    def _settle(self, knots: tuple) -> None:
-        """Store the compressed knots and, once, their index list."""
-        knots = _compress(knots)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_indices", [i for i, _ in knots])
-
     @property
     def is_constant(self) -> bool:
-        """A constant function compresses to its two end knots."""
-        knots = self.knots
-        return len(knots) == 2 and knots[0][1] == knots[1][1]
+        return not self.slope
 
     @property
     def values(self) -> tuple:
-        """All G + 1 samples, expanded from the knots."""
-        return tuple(self._sample(i) for i in range(self.resolution + 1))
-
-    def _sample(self, pos) -> Fraction:
-        """Value at grid position pos in [0, G], linear between knots."""
-        knots = self.knots
-        j = bisect.bisect_left(knots, pos, key=itemgetter(0))
-        i1, v1 = knots[j]
-        if i1 == pos:
-            return v1
-        i0, v0 = knots[j - 1]
-        p0, q0, p1, q1 = v0.numerator, v0.denominator, v1.numerator, v1.denominator
-        n, c = pos.numerator, pos.denominator  # pos = n / c
-        return Fraction(
-            p0 * q1 * (i1 * c - n) + p1 * q0 * (n - i0 * c), q0 * q1 * c * (i1 - i0)
-        )
+        """All G + 1 samples."""
+        G, offset, slope = self.resolution, self.offset, self.slope
+        return tuple(offset + slope * Fraction(i, G) for i in range(G + 1))
 
     def interpolate(self, x) -> Fraction:
-        """Value at x, linear between adjacent samples."""
+        """Value at x, which lies on the segment between adjacent samples."""
         x = as_fraction(x)
         if not 0 <= x <= 1:
             raise InputError(f"argument {x} outside [0, 1]")
-        return self._sample(x * self.resolution)
+        return self.offset + self.slope * x
 
     def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
-        """Grid samples of self composed with m: a one-term ``_combine``."""
-        return _combine([(1, [(1, self, m)])])[0]
+        """Self composed with m."""
+        return _line(self.resolution, self.offset + self.slope * m.offset, self.slope * m.slope)
 
     def sup_norm(self) -> Fraction:
-        """The grid sup: every other sample lies between two knot values."""
-        return max(abs(v) for _, v in self.knots)
+        """The grid sup, taken at an end of [0, 1]: both are grid points."""
+        return _sup(self.offset, self.slope)
 
     def add(self, other: "GridFunction") -> "GridFunction":
-        return _combine([(1, [(1, self, _IDENTITY), (1, other, _IDENTITY)])])[0]
+        return self.sub(_line(other.resolution, -other.offset, -other.slope))
 
     def sub(self, other: "GridFunction") -> "GridFunction":
-        return _combine([(1, [(1, self, _IDENTITY), (-1, other, _IDENTITY)])])[0]
+        if other.resolution != self.resolution:
+            raise InputError("grid functions have incompatible resolutions")
+        return _line(self.resolution, self.offset - other.offset, self.slope - other.slope)
 
     def distance(self, other: "GridFunction") -> Fraction:
         return self.sub(other).sup_norm()
 
 
-def _compress(knots: tuple) -> tuple:
-    """Drop every knot collinear with its neighbours (exact cross-multiplication
-    of the values' numerators and denominators).
+def _line(G: int, offset: Fraction, slope: Fraction) -> GridFunction:
+    """x -> offset + slope x on the grid of resolution G."""
+    return GridFunction(G, ((0, offset), (G, offset + slope)))
 
-    A dropped knot lies on the line from its left neighbour to the
-    incoming knot, so the knots kept before it stay non-collinear with
-    that line: one look back per knot suffices.
-    """
-    out = []
-    for knot in knots:
-        if len(out) >= 2:
-            (i0, v0), (i1, v1) = out[-2], out[-1]
-            i2, v2 = knot
-            p0, q0 = v0.numerator, v0.denominator
-            p1, q1 = v1.numerator, v1.denominator
-            p2, q2 = v2.numerator, v2.denominator
-            lhs = (p1 * q0 - p0 * q1) * q2 * (i2 - i1)
-            if lhs == (p2 * q1 - p1 * q2) * q0 * (i1 - i0):
-                out.pop()
-        out.append(knot)
-    return tuple(out)
+
+def _sup(offset: Fraction, slope: Fraction) -> Fraction:
+    """max |offset + slope x| over [0, 1], reached at x = 0 or x = 1."""
+    return max(abs(offset), abs(offset + slope)) if slope else abs(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -386,113 +291,21 @@ def averaged_composition(
     ``reference`` is an explicit weighted list (weight, map) describing
     the operator being approximated; the weights must sum to one.  For
     each function the average over ``maps`` and the sup-norm distance to
-    the reference image are returned.
+    the reference image are returned: for f(x) = a + b x both sides are
+    a + b M(x), M the weighted sum of their maps.
     """
     if not maps:
         raise InputError("need at least one composition map")
     ref = [(as_fraction(w), m) for w, m in reference]
     if sum((w for w, _ in ref), Fraction(0)) != 1:
         raise InputError("reference weights must sum to 1")
-    averaged = [(Fraction(c, len(maps)), m) for m, c in Counter(maps).items()]
-    rows = [_integer_row(averaged), _integer_row(averaged + [(-w, m) for w, m in ref])]
-    out = []
-    for f in functions:
-        avg, gap = _combine([(l, [(c, f, m) for c, m in row]) for l, row in rows])
-        out.append((avg, gap.sup_norm()))
-    return out
-
-
-def _integer_row(weighted_maps) -> tuple:
-    """(l, [(c, m), ...]) with integer c over one denominator l, for
-    (w, m) pairs with rational weights w = c/l."""
-    l = lcm(*(w.denominator for w, _ in weighted_maps))
-    return l, [(w.numerator * (l // w.denominator), m) for w, m in weighted_maps]
-
-
-def _combine(rows) -> List[GridFunction]:
-    """For each row (l, [(c, g, m), ...]) of integer multiplicities c over
-    one row denominator l > 0, the grid function (1/l) sum of c (g o m).
-
-    g o m is affine between consecutive candidates of ``_bends``, so each
-    sum is sampled at the union of every term's candidates only, and a
-    pair (g, m) met in several terms once.  At grid index i, m's piece
-    gives the grid position (a i + G e)/c, and g's segment around it two
-    small integer weights on its end knots.  A row sums the weights per
-    segment, so each output sample costs one dot product with the knot
-    values (over their least common denominator) and one fraction.
-    """
-    G = rows[0][1][0][1].resolution
-    pairs = {}  # (id(g), id(m)) -> position in terms
-    terms = []  # the distinct (g, m) pairs
-    weights = []  # per row: l and the (position in terms, summed multiplicity) pairs
-    for l, row in rows:
-        summed = {}
-        for c, g, m in row:
-            if g.resolution != G:
-                raise InputError("grid functions have incompatible resolutions")
-            j = pairs.setdefault((id(g), id(m)), len(terms))
-            if j == len(terms):
-                terms.append((g, m))
-            summed[j] = summed.get(j, 0) + c
-        weights.append((l, [(j, c) for j, c in summed.items() if c]))
-
-    grids = [m._pieces(G) for _, m in terms]
-    bends = (_bends(pieces, g._indices) for (g, _), (_, pieces) in zip(terms, grids))
-    candidates = sorted({0, G}.union(*bends))
-    segments = {}  # (id(g), k) -> the values at knots k - 1 and k as (p0, p1, q)
-    columns = []  # per pair and candidate: (segment, knot weights, denominator)
-    for (g, _), (starts, pieces) in zip(terms, grids):
-        idx = g._indices
-        column = []
-        for i in candidates:
-            a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
-            pos = a * i + b
-            k = min(bisect.bisect_right(idx, pos // c), len(idx) - 1)
-            i0, i1 = idx[k - 1], idx[k]
-            key = (id(g), k)
-            if key not in segments:
-                (_, v0), (_, v1) = g.knots[k - 1 : k + 1]
-                q = lcm(v0.denominator, v1.denominator)
-                segments[key] = (v0.numerator * (q // v0.denominator),
-                                 v1.numerator * (q // v1.denominator), q)
-            column.append((key, i1 * c - pos, pos - i0 * c, c * (i1 - i0)))
-        columns.append(column)
-
-    out = []
-    for l, row in weights:
-        samples = []
-        for t, i in enumerate(candidates):
-            acc = {}
-            for j, w in row:
-                key, x0, x1, d = columns[j][t]
-                if key in acc:
-                    y0, y1, e = acc[key]
-                    acc[key] = (y0 * d + w * x0 * e, y1 * d + w * x1 * e, e * d)
-                else:
-                    acc[key] = (w * x0, w * x1, d)
-            num, den = 0, 1
-            for key, (x0, x1, d) in acc.items():
-                p0, p1, q = segments[key]
-                d *= q
-                num, den = num * d + (p0 * x0 + p1 * x1) * den, den * d
-            samples.append((i, Fraction(num, den * l)))
-        out.append(GridFunction._from_valid_knots(G, tuple(samples)))
-    return out
-
-
-def _bends(pieces, idx) -> list:
-    """Grid indices around which g o m can bend, for m's pieces and g's knot
-    indices idx: both grid neighbours of each piece's start and of each cut
-    (c k - G e)/a where the piece crosses a knot k strictly inside its image."""
-    out = []
-    for a, b, c, floor, ceiling, lo, hi in pieces:
-        out += (floor, ceiling)
-        if a:
-            sign = 1 if a > 0 else -1
-            for k in idx[bisect.bisect_right(idx, lo):bisect.bisect_left(idx, hi)]:
-                num, den = sign * (c * k - b), sign * a
-                out += (num // den, -(-num // den))
-    return out
+    mean = StageEntries(tuple(Counter(maps).items())).mean
+    ref_offset, ref_slope = _average(ref)
+    gap_offset, gap_slope = mean.offset - ref_offset, mean.slope - ref_slope
+    return [
+        (f.resample(mean), _sup(f.slope * gap_offset, f.slope * gap_slope))
+        for f in functions
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -570,42 +383,31 @@ class StageEntries:
                 raise InputError(f"entry multiplicity must be a positive integer, got {c}")
             if not isinstance(m, PiecewiseLinearMap):
                 raise InputError("entries must be piecewise-linear interval maps")
-        # l, and the (multiplicity, map) pairs of a push row over it
-        object.__setattr__(self, "total", sum(c for _, c in self.entries))
-        object.__setattr__(self, "_terms", tuple((c, m) for m, c in self.entries))
+        total = sum(c for _, c in self.entries)
+        object.__setattr__(self, "total", total)
+        # the mean entry: a convex combination of self-maps of [0, 1]
+        mean = _average((Fraction(c, total), m) for m, c in self.entries)
+        object.__setattr__(self, "mean", PiecewiseLinearMap(*mean))
 
     def push(self, f: GridFunction) -> GridFunction:
-        """(1/l) sum over entries of f o entry: positive, unital, contractive.
-
-        A unital average fixes constants, so a constant f comes back as is.
-        """
-        if f.is_constant:
-            return f
-        return _combine([(self.total, [(c, f, m) for c, m in self._terms])])[0]
+        """(1/l) sum over entries of f o entry, which is f composed with the
+        mean entry: positive, unital (a constant f comes back as is),
+        contractive."""
+        return f if f.is_constant else f.resample(self.mean)
 
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
     """Number of leading entry positions (counted with multiplicity) that agree."""
-    agreed = 0
-    ia = ib = 0
-    rema = remb = 0
-    ea = list(a.entries)
-    eb = list(b.entries)
-    while ia < len(ea) and ib < len(eb):
-        if rema == 0:
-            map_a, rema = ea[ia]
-        if remb == 0:
-            map_b, remb = eb[ib]
+    ends_a = list(accumulate(c for _, c in a.entries))
+    ends_b = list(accumulate(c for _, c in b.entries))
+    agreed = ia = ib = 0
+    while ia < len(ends_a) and ib < len(ends_b):
+        map_a, map_b = a.entries[ia][0], b.entries[ib][0]
         if map_a is not map_b and map_a != map_b:
             break
-        step = min(rema, remb)
-        agreed += step
-        rema -= step
-        remb -= step
-        if rema == 0:
-            ia += 1
-        if remb == 0:
-            ib += 1
+        agreed = min(ends_a[ia], ends_b[ib])
+        ia += ends_a[ia] == agreed
+        ib += ends_b[ib] == agreed
     return agreed
 
 
@@ -615,14 +417,16 @@ class IntertwiningResult:
     horizon: int
     step_distances: tuple
     step_bounds: tuple
-    #: (w_H, the steps w_n - w_(n+1) for n = start..H-1), all at stage H
+    #: (G, w_H, the steps w_n - w_(n+1) for n = start..H-1), the rungs and
+    #: steps as their (offset, slope) at stage H on the grid of resolution G
     ladder: tuple = field(repr=False)
 
     @cached_property
     def functions(self) -> tuple:
         """w_n for n = start..horizon at stage ``horizon``, summed on first read."""
-        top, steps = self.ladder
-        return tuple(accumulate(reversed(steps), GridFunction.add, initial=top))[::-1]
+        G, top, steps = self.ladder
+        lines = (_line(G, *pair) for pair in (top, *reversed(steps)))
+        return tuple(accumulate(lines, GridFunction.add))[::-1]
 
 
 def simulate_intertwining(
@@ -641,13 +445,13 @@ def simulate_intertwining(
         w_n = w_(n+1) + Q_(n+1) (B_n u_n - u_(n+1)),
 
     where B_n is stage n of the second system and Q_(n+1) pushes from
-    stage n + 1 to H under it.  The pushed difference is the step, so its
-    sup norm is the step distance.  A constant difference (the systems
-    differ only in point evaluations) passes through Q_(n+1) unchanged,
-    so it is not pushed, which makes the synthetic ladder cost one fused
-    pass and one constancy test per stage; a
-    general pair costs no more pushes than the direct definition.  The
-    rungs w_n are summed from the steps when ``functions`` is first read.
+    stage n + 1 to H under it; the pushed difference is the step, and its
+    sup norm the step distance.  Every push composes with a stage's mean
+    entry, so the ladder runs on (offset, slope) pairs.  A constant
+    difference (the systems differ only in point evaluations) passes
+    through Q_(n+1) unchanged and is not pushed, so the synthetic ladder
+    costs one stage difference per stage.  The rungs w_n are summed from
+    the steps when ``functions`` is first read.
 
     Consecutive ladder elements differ only through the stage-n
     disagreement, so their grid distance is at most 2 (disagreeing
@@ -660,42 +464,30 @@ def simulate_intertwining(
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
     if horizon > len(system_a) or horizon > len(system_b):
         raise InputError("systems do not reach the requested horizon")
-    deltas = []
+    scale = max(_ONE, v.sup_norm())
+    # (offset, slope) runs through u_n from u_m = v.  With stage n's mean entries
+    # o_A + s_A x and o_B + s_B x, u_(n+1) is (offset + slope o_A, slope s_A), and
+    # B_n u_n - u_(n+1) is slope (o_B - o_A, s_B - s_A): a map both hold cancels.
+    offset, slope = v.offset, v.slope
+    steps, distances, bounds = [], [], []
     for n in range(m, horizon):
         a, b = system_a[n], system_b[n]
         if a.total != b.total:
-            raise InputError(
-                f"stage {n} multiplicity mismatch: {a.total} != {b.total}"
-            )
-        deltas.append(Fraction(2 * (a.total - agreement_prefix(a, b)), a.total))
-
-    # u runs through u_n, from u_m = v.  One pass over stage n's maps gives
-    # u_(n+1) = A_n u_n and the difference B_n u_n - u_(n+1), from which a
-    # map held by both stages cancels.
-    # steps[n - m] = w_n - w_(n+1) = Q_(n+1) (B_n u_n - u_(n+1)).
-    u = v
-    steps = []
-    for n in range(m, horizon):
-        a, b = system_a[n], system_b[n]
-        pushed = [(c, u, g) for c, g in a._terms]
-        difference = [(c, u, g) for c, g in b._terms] + [(-c, u, g) for c, g in a._terms]
-        u, step = _combine([(a.total, pushed), (a.total, difference)])
+            raise InputError(f"stage {n} multiplicity mismatch: {a.total} != {b.total}")
+        step_offset = slope * (b.mean.offset - a.mean.offset)
+        step_slope = slope * (b.mean.slope - a.mean.slope)
         for j in range(n + 1, horizon):
-            if step.is_constant:  # every later push returns it unchanged
+            if not step_slope:  # a constant: every later push returns it unchanged
                 break
-            step = system_b[j].push(step)
-        steps.append(step)
-
-    scale = max(Fraction(1), v.sup_norm())
-    distances = []
-    bounds = []
-    for i, (step, delta) in enumerate(zip(steps, deltas)):
-        dist = step.sup_norm()
-        bound = delta * scale
+            later = system_b[j].mean
+            step_offset += step_slope * later.offset
+            step_slope *= later.slope
+        offset, slope = offset + slope * a.mean.offset, slope * a.mean.slope
+        dist = _sup(step_offset, step_slope)
+        bound = Fraction(2 * (a.total - agreement_prefix(a, b)), a.total) * scale
         if dist > bound:
-            raise ConsistencyError(
-                f"step {m + i}: distance {dist} exceeds bound {bound}"
-            )
+            raise ConsistencyError(f"step {n}: distance {dist} exceeds bound {bound}")
+        steps.append((step_offset, step_slope))
         distances.append(dist)
         bounds.append(bound)
     return IntertwiningResult(
@@ -703,7 +495,7 @@ def simulate_intertwining(
         horizon=horizon,
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
-        ladder=(u, tuple(steps)),
+        ladder=(v.resolution, (offset, slope), tuple(steps)),
     )
 
 

@@ -98,6 +98,26 @@ def test_certify_bad_rho_is_input_error(capsys):
         assert code == 3 and out == "" and "input error" in err, rho
 
 
+def test_integer_flags_take_ascii_numerals_only(capsys):
+    # int() alone reads each of these: N 6, stages 10 and grid 64, stage 12, ...
+    for argv in (
+        ("certify", "--N", "\u0666", "--horizon", "4"),
+        ("trace-sim", "--stages", "1_0", "--grid", "6_4"),
+        ("telescope", "--N", "6", "--horizon", "12", "--nu", "0,1,1_2"),
+        ("chern", "--k", "\u0663"),
+        ("density", "--van-der-corput", "8", "--start-index", "\uff10"),
+        ("params", "--N", "6", "--horizon", "1_2"),
+        # past int()'s digit limit no message could print the value
+        ("chern", "--k", "9" * 4400),
+        ("telescope", "--N", "6", "--horizon", "12", "--nu", "0," + "9" * 4400),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "input error" in err, argv
+    # a sign and surrounding whitespace are still read
+    code, _, _ = run_cli(capsys, "trace-sim", "--N", " +6 ", "--stages", "2", "--grid", "64")
+    assert code == 0
+
+
 # 4400 nines: past the interpreter's 4300-digit int-to-str limit.
 NINES = "9" * 4400
 

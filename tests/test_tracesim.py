@@ -1,4 +1,3 @@
-import bisect
 import dataclasses
 import random
 from fractions import Fraction
@@ -29,7 +28,6 @@ from ahcert.tracesim import (
     synthetic_system_pair,
     van_der_corput,
 )
-from ahcert.tracesim import _combine
 
 
 @pytest.fixture(scope="module")
@@ -50,37 +48,34 @@ def test_piecewise_linear_map_evaluation():
 
 
 def test_map_must_stay_inside_interval():
-    from ahcert.tracesim import PiecewiseLinearMap
-
     with pytest.raises(InputError):
-        PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        PiecewiseLinearMap(Fraction(0), Fraction(2))
     with pytest.raises(InputError):
         constant_map(Fraction(3, 2))
 
 
 def test_map_refusals_are_pinned():
-    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
-    for breakpoints, message in (
-        (((zero, zero),), "need at least two breakpoints"),
-        (((half, zero), (one, one)), r"breakpoints must span \[0, 1\]"),
-        (((zero, zero), (Fraction(3, 2), one)), r"breakpoints must span \[0, 1\]"),
-        (((zero, zero), (half, one), (half, zero), (one, one)),
-         "breakpoint abscissae must be strictly increasing"),
-        (((zero, zero), (Fraction(3, 4), one), (half, zero), (one, one)),
-         "breakpoint abscissae must be strictly increasing"),
-        (((zero, zero), (one, Fraction(-1, 3))), r"map leaves \[0, 1\]"),
-        (((zero, Fraction(9, 8)), (one, one)), r"map leaves \[0, 1\]"),
+    # (offset, slope): x -> offset + slope x must send 0 and 1 into [0, 1]
+    for offset, slope, message in (
+        (Fraction(0), Fraction(-1, 3), r"map leaves \[0, 1\]"),
+        (Fraction(9, 8), Fraction(-1, 8), r"map leaves \[0, 1\]"),
+        (Fraction(-1, 4), Fraction(1, 2), r"map leaves \[0, 1\]"),
+        (Fraction(1, 2), Fraction(2, 3), r"map leaves \[0, 1\]"),
+        (Fraction(1), Fraction(-2), r"map leaves \[0, 1\]"),
+        ("1/0", Fraction(0), "malformed rational"),
     ):
         with pytest.raises(InputError, match=message):
-            PiecewiseLinearMap(breakpoints)
+            PiecewiseLinearMap(offset, slope)
+    # the ends themselves are inside
+    assert PiecewiseLinearMap(Fraction(1), Fraction(-1))(Fraction(1)) == 0
 
 
 def test_map_refuses_float_breakpoints_up_front():
-    for breakpoints in (((0.0, 0.0), (1.0, 0.5)), ((0, 0), (1, 0.5))):
+    for offset, slope in ((0.0, 0.5), (0, 0.5), (0.25, 0)):
         with pytest.raises(InputError, match="float"):
-            PiecewiseLinearMap(breakpoints)
+            PiecewiseLinearMap(offset, slope)
     # ints and "p/q" strings are exact and accepted
-    m = PiecewiseLinearMap(((0, "1/4"), (1, "3/4")))
+    m = PiecewiseLinearMap("1/4", "1/2")
     assert m == contraction_map(Fraction(1, 2))
     assert GridFunction(4, ((0, 0), (4, 1))).resample(m).knots == (
         (0, Fraction(1, 4)), (4, Fraction(3, 4)),
@@ -88,12 +83,22 @@ def test_map_refuses_float_breakpoints_up_front():
 
 
 def test_grid_function_exact_interpolation():
-    f = GridFunction.from_callable(lambda x: x * x, 8)
-    # between samples, the carrier is piecewise linear
-    assert f.interpolate(Fraction(1, 8)) == Fraction(1, 64)
+    f = GridFunction.from_callable(lambda x: 2 * x - 1, 8)
+    assert f.interpolate(Fraction(1, 8)) == Fraction(-3, 4)
     mid = f.interpolate(Fraction(3, 16))
-    assert mid == (Fraction(1, 64) + Fraction(4, 64)) / 2
+    assert mid == (Fraction(-3, 4) + Fraction(-1, 2)) / 2
     assert f.sup_norm() == 1
+
+
+def test_grid_function_refuses_a_non_affine_function():
+    with pytest.raises(InputError, match="trace functions are affine"):
+        GridFunction.from_callable(lambda x: x * x, 8)
+    with pytest.raises(InputError, match="indices 0, 4 and 8 are not collinear"):
+        GridFunction(8, ((0, 0), (2, Fraction(1, 4)), (4, Fraction(1, 3)), (8, 1)))
+    # collinear inner knots are accepted and dropped
+    f = GridFunction(8, ((0, 1), (2, Fraction(3, 4)), (5, Fraction(3, 8)), (8, 0)))
+    assert f == GridFunction(8, ((0, 1), (8, 0)))
+    assert f.knots == ((0, Fraction(1)), (8, Fraction(0)))
 
 
 def test_grid_function_resample_identity_and_constant():
@@ -103,7 +108,7 @@ def test_grid_function_resample_identity_and_constant():
     assert set(g.values) == {Fraction(3, 8)}
 
 
-# -- the knot form against dense samples -------------------------------------
+# -- the affine form against dense samples ----------------------------------
 
 
 def dense_interpolate(samples, x):
@@ -121,32 +126,49 @@ def dense_resample(samples, m):
     return [dense_interpolate(samples, m(Fraction(i, G))) for i in range(G + 1)]
 
 
+def direct_push(stage, samples):
+    """(1/l) sum of f o entry on every sample, with no shortcut for constant f."""
+    out = [Fraction(0)] * len(samples)
+    for m, c in stage.entries:
+        for i, y in enumerate(dense_resample(samples, m)):
+            out[i] += Fraction(c, stage.total) * y
+    return out
+
+
 unit_fractions = st.sampled_from(
     sorted({Fraction(n, d) for d in range(1, 10) for n in range(d + 1)})
 )
 sample_values = st.builds(Fraction, st.integers(-21, 21), st.integers(1, 7))
 
 
-def sample_vectors(resolution):
-    return st.lists(sample_values, min_size=resolution + 1, max_size=resolution + 1)
+@st.composite
+def affine_samples(draw, resolution):
+    """The G + 1 grid samples of an affine function with drawn end values."""
+    first, last = draw(sample_values), draw(sample_values)
+    return [first + (last - first) * Fraction(i, resolution) for i in range(resolution + 1)]
+
+
+@st.composite
+def affine_knots(draw, resolution):
+    """The samples of an affine function at a few drawn grid indices, 0 and G among them."""
+    samples = draw(affine_samples(resolution))
+    inner = draw(st.lists(st.integers(1, max(1, resolution - 1)), max_size=6))
+    return tuple((i, samples[i]) for i in sorted({0, resolution} | {i for i in inner if i < resolution}))
 
 
 @st.composite
 def interval_maps(draw):
-    inner = draw(st.lists(unit_fractions.filter(lambda x: 0 < x < 1), max_size=4))
-    xs = [Fraction(0)] + sorted(set(inner)) + [Fraction(1)]
-    # few distinct heights, so constant and decreasing pieces are common
-    heights = draw(st.lists(unit_fractions, min_size=1, max_size=3))
-    ys = [draw(st.sampled_from(heights)) for _ in xs]
-    return PiecewiseLinearMap(tuple(zip(xs, ys)))
+    # end values from a few unit fractions, so constant and decreasing maps are common
+    start, end = draw(unit_fractions), draw(unit_fractions)
+    return PiecewiseLinearMap(start, end - start)
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_knot_form_matches_dense_samples(data):
     G = data.draw(st.integers(1, 64), label="G")
-    samples = data.draw(sample_vectors(G), label="f")
-    other = data.draw(sample_vectors(G), label="g")
+    samples = data.draw(affine_samples(G), label="f")
+    other = data.draw(affine_samples(G), label="g")
     m1 = data.draw(interval_maps(), label="m1")
     m2 = data.draw(interval_maps(), label="m2")
     c1, c2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
@@ -155,41 +177,14 @@ def test_knot_form_matches_dense_samples(data):
     f = GridFunction(G, tuple(enumerate(samples)))
     g = GridFunction(G, tuple(enumerate(other)))
     assert f.values == tuple(samples)
-    assert len(f.knots) <= G + 1
+    assert f.knots == ((0, samples[0]), (G, samples[G]))
     assert f.resample(m1).values == tuple(dense_resample(samples, m1))
-    pushed = [
-        Fraction(c1, c1 + c2) * a + Fraction(c2, c1 + c2) * b
-        for a, b in zip(dense_resample(samples, m1), dense_resample(samples, m2))
-    ]
-    assert StageEntries(((m1, c1), (m2, c2))).push(f).values == tuple(pushed)
+    stage = StageEntries(((m1, c1), (m2, c2)))
+    assert stage.push(f).values == tuple(direct_push(stage, samples))
+    assert f.add(g).values == tuple(a + b for a, b in zip(samples, other))
     assert f.distance(g) == max(abs(a - b) for a, b in zip(samples, other))
     assert f.sup_norm() == max(abs(a) for a in samples)
     assert f.interpolate(x) == dense_interpolate(samples, x)
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(m=interval_maps(), G=st.integers(1, 4096), data=st.data())
-def test_integer_pieces_match_the_map(m, G, data):
-    starts, pieces = m._pieces(G)
-    ends = zip(m.breakpoints, m.breakpoints[1:])
-    for (a, b, c, floor, ceiling, lo, hi), ((x0, y0), (x1, y1)) in zip(pieces, ends):
-        assert c > 0
-        assert (floor, ceiling) == (G * x0 // 1, -(-G * x0 // 1))
-        for x, y in ((x0, y0), (x1, y1)):
-            assert (a * G * x + b) / c == G * y
-            assert lo <= G * y <= hi
-    for i in data.draw(st.lists(st.integers(0, G), max_size=8), label="i"):
-        a, b, c = pieces[bisect.bisect_right(starts, i) - 1][:3]
-        assert Fraction(a * i + b, c) == G * m(Fraction(i, G))
-    # The pieces are kept per resolution: asked again, in any order, the
-    # map gives what a fresh copy of it gives, and compares as before.
-    fresh = PiecewiseLinearMap(m.breakpoints)
-    assert m == fresh and hash(m) == hash(fresh)
-    others = data.draw(st.lists(st.integers(1, 4096), max_size=4), label="others")
-    for H in [G] + others + [G] + others[::-1]:
-        assert m._pieces(H) == PiecewiseLinearMap(m.breakpoints)._pieces(H)
-    assert m._pieces(G) == (starts, pieces)
-    assert m == fresh and hash(m) == hash(fresh)
 
 
 @st.composite
@@ -207,31 +202,15 @@ def shared_entries(draw):
 @given(st.data())
 def test_fused_push_matches_dense_samples(data):
     G = data.draw(st.integers(1, 256), label="G")
-    inner = data.draw(st.lists(st.integers(1, max(1, G - 1)), max_size=6), label="knots")
-    idx = sorted({0, G} | {i for i in inner if i < G})
-    f = GridFunction(G, tuple((i, data.draw(sample_values)) for i in idx))
+    f = GridFunction(G, data.draw(affine_knots(G), label="f"))
     samples = list(f.values)
-    first = data.draw(shared_entries(), label="A")
-    second = data.draw(shared_entries(), label="B")
+    first = StageEntries(tuple(data.draw(shared_entries(), label="A")))
+    second = StageEntries(tuple(data.draw(shared_entries(), label="B")))
 
-    def dense_push(entries):
-        total = sum(c for _, c in entries)
-        out = [Fraction(0)] * (G + 1)
-        for m, c in entries:
-            for i, y in enumerate(dense_resample(samples, m)):
-                out[i] += Fraction(c, total) * y
-        return tuple(out)
-
-    expected_a, expected_b = dense_push(first), dense_push(second)
-    assert StageEntries(tuple(first)).push(f).values == expected_a
-    # Two rows in one pass, one of them signed, as a ladder stage uses them:
-    # integer multiplicities over one denominator per row.
-    la, lb = sum(c for _, c in first), sum(c for _, c in second)
-    pushed = (la, [(c, f, m) for m, c in first])
-    difference = (la * lb, [(c * la, f, m) for m, c in second]
-                  + [(-c * lb, f, m) for m, c in first])
-    got, gap = _combine([pushed, difference])
-    assert got.values == expected_a
+    expected_a, expected_b = direct_push(first, samples), direct_push(second, samples)
+    assert first.push(f).values == tuple(expected_a)
+    # the stage difference, as a ladder stage forms it
+    gap = second.push(f).sub(first.push(f))
     assert gap.values == tuple(b - a for a, b in zip(expected_a, expected_b))
 
 
@@ -288,6 +267,21 @@ def test_synthetic_ladder_functions_have_two_knots():
     v = GridFunction(4096, ((0, 0), (4096, 1)))
     res = simulate_intertwining(sys_a, sys_b, v, 0, 8)
     assert [len(w.knots) for w in res.functions] == [2] * 9
+
+
+def test_ladder_rungs_are_summed_on_first_read():
+    stages = 20
+    sys_a, sys_b = synthetic_system_pair(
+        sequences(make_geometric_family(6), stages), stages
+    )
+    v = GridFunction(64, ((0, 0), (64, 1)))
+    res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    assert "functions" not in vars(res)
+    assert len(res.functions) == stages + 1
+    assert res.functions is res.functions
+    # the dataclass helpers see the ladder the rungs are summed from
+    assert dataclasses.replace(res) == res
+    assert dataclasses.replace(res).functions == res.functions
 
 
 def test_grid_function_refuses_malformed_knots():
@@ -392,8 +386,17 @@ def test_averaged_composition_rounded_weights_within_epsilon():
     maps = []
     for m, count in zip(h, plan.multiplicities):
         maps.extend([m] * count)
-    f = GridFunction.from_callable(lambda x: x * x, 128)
-    (_, gap), = averaged_composition([f], maps, list(zip(alphas, h)))
+    f = GridFunction.from_callable(lambda x: 1 - x / 2, 128)
+    (avg, gap), = averaged_composition([f], maps, list(zip(alphas, h)))
+    # the same average and gap on every dense sample
+    samples = list(f.values)
+    dense_avg = direct_push(StageEntries(tuple((m, 1) for m in maps)), samples)
+    dense_ref = [
+        sum(a * y for a, y in zip(alphas, ys))
+        for ys in zip(*(dense_resample(samples, m) for m in h))
+    ]
+    assert avg.values == tuple(dense_avg)
+    assert gap == max(abs(a - b) for a, b in zip(dense_avg, dense_ref))
     # | (1/N) sum f o g - sum alpha f o h | <= sum |alpha - beta| * ||f||
     assert gap <= plan.deviation * f.sup_norm()
     assert gap < epsilon
@@ -485,24 +488,21 @@ def test_intertwining_multiplicity_mismatch(table):
         simulate_intertwining(sys_a, broken, v, 0, 3)
 
 
-def direct_push(stage, f):
-    """(1/l) sum of f o entry, with no shortcut for constant f."""
-    return _combine([(stage.total, [(c, f, m) for m, c in stage.entries])])[0]
-
-
-def direct_ladder(system_a, system_b, v, m, horizon):
-    """The ladder straight from its definition, w_n = B_(H-1)...B_n A_(n-1)...A_m v,
-    with its step distances and bounds."""
+def direct_ladder(system_a, system_b, samples, m, horizon):
+    """The ladder straight from its definition on every sample,
+    w_n = B_(H-1)...B_n A_(n-1)...A_m v, with its step distances and bounds."""
     functions = []
     for n in range(m, horizon + 1):
-        w = v
+        w = samples
         for j in range(m, n):
             w = direct_push(system_a[j], w)
         for j in range(n, horizon):
             w = direct_push(system_b[j], w)
-        functions.append(w)
-    distances = [b.distance(a) for a, b in zip(functions, functions[1:])]
-    scale = max(Fraction(1), v.sup_norm())
+        functions.append(tuple(w))
+    distances = [
+        max(abs(x - y) for x, y in zip(a, b)) for a, b in zip(functions, functions[1:])
+    ]
+    scale = max(Fraction(1), max(abs(y) for y in samples))
     bounds = [
         Fraction(2 * (a.total - agreement_prefix(a, b)), a.total) * scale
         for a, b in zip(system_a[m:horizon], system_b[m:horizon])
@@ -510,9 +510,7 @@ def direct_ladder(system_a, system_b, v, m, horizon):
     return tuple(functions), tuple(distances), tuple(bounds)
 
 
-nonconstant_maps = interval_maps().filter(
-    lambda m: len({y for _, y in m.breakpoints}) > 1
-)
+nonconstant_maps = interval_maps().filter(lambda m: m.slope != 0)
 
 
 @st.composite
@@ -535,10 +533,8 @@ def stage_pairs(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.data())
 def test_ladder_matches_its_direct_definition(data):
-    G = data.draw(st.sampled_from([1, 2, 3, 64, 4096]) | st.integers(1, 4096), label="G")
-    inner = data.draw(st.lists(st.integers(1, max(1, G - 1)), max_size=3), label="knots")
-    idx = sorted({0, G} | {i for i in inner if i < G})
-    v = GridFunction(G, tuple((i, data.draw(sample_values)) for i in idx))
+    G = data.draw(st.sampled_from([1, 2, 3, 64, 4096]) | st.integers(1, 256), label="G")
+    v = GridFunction(G, data.draw(affine_knots(G), label="v"))
     m = data.draw(st.integers(1, 2), label="m")
     horizon = m + data.draw(st.integers(1, 3), label="stages")
     pairs = [data.draw(stage_pairs(), label=f"stage {n}") for n in range(horizon)]
@@ -546,38 +542,10 @@ def test_ladder_matches_its_direct_definition(data):
     system_b = [b for _, b in pairs]
 
     res = simulate_intertwining(system_a, system_b, v, m, horizon)
-    functions, distances, bounds = direct_ladder(system_a, system_b, v, m, horizon)
-    assert res.functions == functions
+    functions, distances, bounds = direct_ladder(system_a, system_b, list(v.values), m, horizon)
+    assert tuple(w.values for w in res.functions) == functions
     assert res.step_distances == distances
     assert res.step_bounds == bounds
-
-
-def test_synthetic_ladder_pushes_grow_linearly_in_the_stages(monkeypatch):
-    import ahcert.tracesim as tracesim
-
-    stages = 20
-    sys_a, sys_b = synthetic_system_pair(
-        sequences(make_geometric_family(6), stages), stages
-    )
-    v = GridFunction(64, ((0, 0), (64, 1)))
-    calls = []
-    bends = tracesim._bends
-
-    def counting_bends(pieces, idx):
-        calls.append(pieces)
-        return bends(pieces, idx)
-
-    # The fused push samples each composition f o m after finding its bends.
-    monkeypatch.setattr(tracesim, "_bends", counting_bends)
-    res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
-    # the shared map, and one point evaluation per system
-    assert stages <= len(calls) <= 3 * stages
-    assert "functions" not in vars(res)  # the rungs are summed on first read
-    assert len(res.functions) == stages + 1
-    assert res.functions is res.functions
-    # the dataclass helpers see the ladder the rungs are summed from
-    assert dataclasses.replace(res) == res
-    assert dataclasses.replace(res).functions == res.functions
 
 
 def test_step_above_its_bound_is_a_consistency_error(table, monkeypatch):
