@@ -1,5 +1,5 @@
-"""Grid-level trace machinery: rounding, averaged compositions, the
-intertwining ladder, and density of evaluation points.
+"""Trace-side machinery on affine functions: rounding, averaged
+compositions, the intertwining ladder, and density of evaluation points.
 
 Run:  python demos/06_trace_simulation.py
 """
@@ -41,7 +41,7 @@ ref = [(Fraction(2, 3), h[0]), (Fraction(1, 3), h[1])]
 plan2 = round_convex_weights([w for w, _ in ref], epsilon, N)
 maps = [m for m, c in zip(h, plan2.multiplicities) for _ in range(c)]
 (_, gap), = averaged_composition([f], maps, ref)
-print(f"  grid gap for f(x) = 1 - x/2: {gap} (~ {float(gap):.5f}) < eps = {epsilon}")
+print(f"  sup gap for f(x) = 1 - x/2: {gap} (~ {float(gap):.5f}) < eps = {epsilon}")
 
 print()
 table = sequences(make_geometric_family(6), 12)
@@ -54,7 +54,7 @@ print(f"  the series sums to 2 (omega + omega'), so its total is at most "
 
 print()
 stages = 5
-print(f"Intertwining ladder over {stages} stages (synthetic maps, grid 512):")
+print(f"Intertwining ladder over {stages} stages (synthetic maps, v(x) = x):")
 sys_a, sys_b = synthetic_system_pair(sequences(make_geometric_family(6), stages), stages)
 v = GridFunction.from_callable(lambda x: x, 512)
 result = simulate_intertwining(sys_a, sys_b, v, 0, stages)

@@ -6,7 +6,7 @@ classes through the stages, reproduces the cohomological embedding
 obstruction, and emits machine-checkable certificates separating the
 radii of comparison of the two distinguished corners while the order-two
 flip exchanges their classes.  All certified claims are exact rational
-comparisons, and the trace-side grid simulations are exact as well: the
+comparisons, and the trace-side affine simulations are exact as well: the
 package uses no floating point and has no runtime dependency.
 ``from ahcert import X`` imports X's home module on first use (PEP 562).
 """

@@ -253,7 +253,7 @@ def cmd_trace_sim(args):
     check_horizon(horizon)
     table = sequences(family, horizon)
     system_a, system_b = tracesim.synthetic_system_pair(table, stages)
-    v = tracesim.GridFunction(cfg["grid"], ((0, 0), (cfg["grid"], 1)))  # v(x) = x
+    v = tracesim.GridFunction(0, 1)  # v(x) = x
     # simulate_intertwining raises on a step above its bound, so a result
     # that comes back is Certified.
     result = tracesim.simulate_intertwining(system_a, system_b, v, 0, stages)

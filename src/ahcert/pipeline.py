@@ -36,6 +36,7 @@ from .params import (
     check_constraints,
     first_decided,
     geometric_ratio_majorant,
+    is_integer,
     make_explicit_family,
     make_geometric_family,
     sequences,
@@ -272,7 +273,9 @@ def report(cfg: dict, verdict: str, **sections) -> dict:
 #: multiplication) only when they are read; see README.
 MAX_HORIZON = 640
 
-#: Grid points of ``trace-sim``'s test function when no ``grid`` is given.
+#: The ``grid`` a config echoes when it gives none.  ``grid`` is validated
+#: (at least 1) and echoed in every report, and reaches nothing else: the
+#: trace functions are affine and hold no grid.
 DEFAULT_RESOLUTION = 2 ** 12
 
 DEFAULT_CONFIG = {
@@ -313,7 +316,7 @@ def resolve_config(config: Optional[dict]) -> dict:
     if merged["family"] not in ("geometric", "explicit"):
         raise InputError(f"unknown family kind {merged['family']!r}")
     for key in ("horizon", "N", "grid"):
-        if not _is_integer(merged[key]):
+        if not is_integer(merged[key]):
             raise InputError(f"config '{key}' must be an integer, got {merged[key]!r}")
     if merged["grid"] < 1:
         raise InputError(f"grid must be >= 1, got {merged['grid']}")
@@ -355,7 +358,7 @@ def build_family(config: dict) -> ParamFamily:
         return family
     if tail_type == "geometric":
         N = tail_spec.get("N")
-        if not _is_integer(N):
+        if not is_integer(N):
             raise InputError(f"geometric tail needs an integer 'N', got {N!r}")
         majorant = geometric_ratio_majorant(d, k, N)
     else:
@@ -379,17 +382,12 @@ def _check_tail(tail) -> None:
     refuse_unknown_keys(f"{tail_type!r} tail", tail, TAIL_KEYS[tail_type])
 
 
-def _is_integer(x) -> bool:
-    """A JSON integer; booleans are not read as 0 and 1, floats not truncated."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _integer_list(name: str, values) -> list:
     """A list of JSON integers."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"'{name}' must be a list of integers, got {values!r}")
     for x in values:
-        if not _is_integer(x):
+        if not is_integer(x):
             raise InputError(f"'{name}' must hold integers, got {x!r}")
     return list(values)
 

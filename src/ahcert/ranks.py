@@ -32,6 +32,12 @@ ENTRY_INTERVAL_MAP = "interval_map"
 ENTRY_OPAQUE_X_TO_X = "opaque_x_to_x"
 ENTRY_OPAQUE_Y_TO_Y = "opaque_y_to_y"
 
+#: The most entries ``stage_layout`` lists in one target.  A layout holds
+#: one entry object per summand, d(n+1) + k(n+1) per target, and in the
+#: geometric family that count grows N-fold per stage, so a layout past
+#: the cap is refused before any entry is built.
+MAX_LAYOUT_ENTRIES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class K0Class:
@@ -184,11 +190,17 @@ def stage_layout(table: SequenceTable, n: int, system: str = MERGED) -> StageMap
     followed by k(n+1) evaluations at a point of the interval side; the
     Y target receives d(n+1) opaque interval maps followed by k(n+1)
     evaluations at a point of the X side.  Split system: the crossing
-    entries are replaced by same-side entries left unspecified.
+    entries are replaced by same-side entries left unspecified.  A stage
+    with more than ``MAX_LAYOUT_ENTRIES`` summands is refused.
     """
     if n < 0 or n + 1 > table.horizon:
         raise InputError(f"stage {n} -> {n + 1} is outside horizon {table.horizon}")
     d, k = table.d[n + 1], table.k[n + 1]
+    if d + k > MAX_LAYOUT_ENTRIES:
+        raise InputError(
+            f"stage {n} -> {n + 1} layout has {d + k} entries per target, "
+            f"above the cap {MAX_LAYOUT_ENTRIES}"
+        )
     coord = tuple(MapEntry(ENTRY_COORD_PROJECTION, j) for j in range(1, d + 1))
     interval = tuple(MapEntry(ENTRY_INTERVAL_MAP, j) for j in range(1, d + 1))
     if system == MERGED:

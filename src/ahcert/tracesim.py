@@ -1,16 +1,18 @@
 """Desk-scale simulation of the trace-space machinery on [0, 1].
 
-Every interval map here is affine, x -> offset + slope x (the
-contractions, the point evaluations and the identity), and averaging
-compositions f o m with weights that sum to one keeps f affine, so every
-trace function is held as its offset and slope, and a stage push is
-composition with the stage's mean entry map, computed once per stage.
-Functions are indexed by a uniform grid {i/G : 0 <= i <= G}.  An affine
-function's grid sup is its larger absolute end value, since both ends
-are grid points, so every sup norm is exact and no output depends on G.
-The checked quantities (per-step gaps, rounding errors) are exact
-rationals.  The stage-gap series and the flip are each a fixed number of
-checks at every horizon (``gap_series``, ``flip_compatibility``).
+Every trace function here is affine, x -> offset + slope x, and is held
+as that pair (``GridFunction``); an interval map is such a pair that
+sends [0, 1] into itself (``PiecewiseLinearMap``).  The synthetic maps
+are the contractions, the point evaluations and the identity, and
+averaging compositions f o m with weights that sum to one keeps f
+affine, so a stage push is composition with the stage's mean entry map,
+computed once per stage.  An affine function's sup over [0, 1] is its
+larger absolute end value, so every sup norm is exact.  No grid is
+stored: ``GridFunction.from_callable`` samples a grid only to check that
+its input is affine.  The checked quantities (per-step gaps, rounding
+errors) are exact rationals.  The stage-gap series and the flip are each
+a fixed number of checks at every horizon (``gap_series``,
+``flip_compatibility``).
 """
 
 from __future__ import annotations
@@ -25,51 +27,96 @@ from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
-from .params import SequenceTable, check
+from .params import SequenceTable, check, is_integer
 from .ranks import K0Class, push_k0, q_perp_ranks
 from .rationals import as_fraction, shown
 
 #: The most ladder stages ``trace-sim`` runs.  A stage is a few rational
 #: operations (``simulate_intertwining``), but the exact step distances
-#: carry denominators of order stages^2 bits, about 4100 bits at this cap
-#: for N = 6, so the report grows like stages^3.  At this cap a cold run
-#: takes about as long as ``certify`` at ``pipeline.MAX_HORIZON``.
+#: carry denominators of order stages^2 bits, so the report grows like
+#: stages^3; the cap keeps a cold run near ``certify`` at
+#: ``pipeline.MAX_HORIZON``.
 MAX_STAGES = 56
 
 #: The most points ``density --van-der-corput`` generates.  Every point is
-#: a ``Fraction`` (about 140 bytes) that ``density_check`` sorts on an
-#: integer key; a cold run at this cap takes about 0.3 s, a few times
-#: ``certify`` at ``pipeline.MAX_HORIZON``.
+#: a ``Fraction`` that ``density_check`` sorts on an integer key, so time
+#: and memory grow with the count; the cap keeps a cold run within a few
+#: times ``certify`` at ``pipeline.MAX_HORIZON``.
 MAX_POINTS = 2 ** 15
 
 
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+
+
 # ---------------------------------------------------------------------------
-# Interval maps
+# Affine functions and interval maps
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearMap:
-    """An affine self-map x -> offset + slope x of [0, 1]: a piecewise-linear
-    map with one piece, the only kind the simulation composes with."""
+class GridFunction:
+    """An exact affine function x -> offset + slope x on [0, 1], the form of
+    every trace function here.  Both fields are coerced by ``as_fraction``,
+    so floats are refused."""
 
     offset: Fraction
     slope: Fraction
 
     def __post_init__(self):
-        offset, slope = as_fraction(self.offset), as_fraction(self.slope)
-        # an affine map sends [0, 1] onto the segment between its end values
-        if not (0 <= offset <= 1 and 0 <= offset + slope <= 1):
-            raise InputError("map leaves [0, 1]")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", as_fraction(self.offset))
+        object.__setattr__(self, "slope", as_fraction(self.slope))
 
-    def __call__(self, x: Fraction) -> Fraction:
+    @classmethod
+    def from_callable(cls, fn: Callable, resolution: int):
+        """fn read on the grid {i/G : 0 <= i <= G}, G = ``resolution``, and
+        refused unless every sample lies on the line through the end samples."""
+        G = resolution
+        if not is_integer(G) or G < 1:
+            raise InputError(f"resolution must be an integer >= 1, got {G}")
+        first, last = as_fraction(fn(_ZERO)), as_fraction(fn(_ONE))
+        for i in range(1, G):
+            if as_fraction(fn(Fraction(i, G))) * G != first * (G - i) + last * i:
+                raise InputError(
+                    f"trace functions are affine, but the samples at indices 0, {i} "
+                    f"and {G} are not collinear"
+                )
+        return cls(first, last - first)
+
+    @property
+    def is_constant(self) -> bool:
+        return not self.slope
+
+    def __call__(self, x) -> Fraction:
+        x = as_fraction(x)
         if not 0 <= x <= 1:
             raise InputError(f"argument {x} outside [0, 1]")
         return self.offset + self.slope * x
 
+    def resample(self, m: "PiecewiseLinearMap") -> "GridFunction":
+        """Self composed with m."""
+        return GridFunction(self.offset + self.slope * m.offset, self.slope * m.slope)
 
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+    def sup_norm(self) -> Fraction:
+        return _sup(self.offset, self.slope)
+
+    def add(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.offset + other.offset, self.slope + other.slope)
+
+    def sub(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.offset - other.offset, self.slope - other.slope)
+
+    def distance(self, other: "GridFunction") -> Fraction:
+        return self.sub(other).sup_norm()
+
+
+class PiecewiseLinearMap(GridFunction):
+    """An affine self-map x -> offset + slope x of [0, 1]: a piecewise-linear
+    map with one piece, the only kind the simulation composes with."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        # an affine map sends [0, 1] onto the segment between its end values
+        if not (0 <= self.offset <= 1 and 0 <= self.offset + self.slope <= 1):
+            raise InputError("map leaves [0, 1]")
 
 
 def identity_map() -> PiecewiseLinearMap:
@@ -98,6 +145,11 @@ def _average(weighted_maps: Iterable[Tuple[Fraction, PiecewiseLinearMap]]) -> tu
     return offset, slope
 
 
+def _sup(offset: Fraction, slope: Fraction) -> Fraction:
+    """max |offset + slope x| over [0, 1], reached at x = 0 or x = 1."""
+    return max(abs(offset), abs(offset + slope)) if slope else abs(offset)
+
+
 def _radical_inverse(i: int, base: int) -> Fraction:
     """Point i of the van der Corput sequence: i's base digits reflected
     about the radix point."""
@@ -116,101 +168,6 @@ def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
     if count < 0:
         raise InputError(f"point count must be >= 0, got {count}")
     return [_radical_inverse(i, base) for i in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# Grid functions
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """An exact affine function x -> offset + slope x on the uniform grid
-    {i/G : 0 <= i <= G}, given by ``knots`` ((i, value), ...) with integer
-    indices running strictly upward from 0 to G = ``resolution``, all on
-    one line.  Only the end knots are kept, so equal functions compare
-    equal; ``values`` expands the G + 1 samples.
-    """
-
-    resolution: int
-    knots: tuple
-    offset: Fraction = field(init=False, repr=False, compare=False)
-    slope: Fraction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        G = self.resolution
-        if not isinstance(G, int) or G < 1:
-            raise InputError(f"resolution must be an integer >= 1, got {G}")
-        knots = tuple((i, as_fraction(v)) for i, v in self.knots)
-        idx = [i for i, _ in knots]
-        if not idx or idx[0] != 0 or idx[-1] != G:
-            raise InputError(f"knots must run from index 0 to {G}")
-        if any(not isinstance(i, int) for i in idx) or any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InputError("knot indices must be strictly increasing integers")
-        first, last = knots[0][1], knots[-1][1]
-        for i, v in knots[1:-1]:
-            if v * G != first * (G - i) + last * i:
-                raise InputError(
-                    f"trace functions are affine, but the samples at indices 0, {i} "
-                    f"and {G} are not collinear"
-                )
-        object.__setattr__(self, "knots", (knots[0], knots[-1]))
-        object.__setattr__(self, "offset", first)
-        object.__setattr__(self, "slope", last - first)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, resolution: int):
-        G = resolution
-        return cls(G, tuple((i, fn(Fraction(i, G))) for i in range(G + 1)))
-
-    @classmethod
-    def constant(cls, value, resolution: int):
-        return cls(resolution, ((0, value), (resolution, value)))
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.slope
-
-    @property
-    def values(self) -> tuple:
-        """All G + 1 samples."""
-        G, offset, slope = self.resolution, self.offset, self.slope
-        return tuple(offset + slope * Fraction(i, G) for i in range(G + 1))
-
-    def interpolate(self, x) -> Fraction:
-        """Value at x, which lies on the segment between adjacent samples."""
-        x = as_fraction(x)
-        if not 0 <= x <= 1:
-            raise InputError(f"argument {x} outside [0, 1]")
-        return self.offset + self.slope * x
-
-    def resample(self, m: PiecewiseLinearMap) -> "GridFunction":
-        """Self composed with m."""
-        return _line(self.resolution, self.offset + self.slope * m.offset, self.slope * m.slope)
-
-    def sup_norm(self) -> Fraction:
-        """The grid sup, taken at an end of [0, 1]: both are grid points."""
-        return _sup(self.offset, self.slope)
-
-    def add(self, other: "GridFunction") -> "GridFunction":
-        return self.sub(_line(other.resolution, -other.offset, -other.slope))
-
-    def sub(self, other: "GridFunction") -> "GridFunction":
-        if other.resolution != self.resolution:
-            raise InputError("grid functions have incompatible resolutions")
-        return _line(self.resolution, self.offset - other.offset, self.slope - other.slope)
-
-    def distance(self, other: "GridFunction") -> Fraction:
-        return self.sub(other).sup_norm()
-
-
-def _line(G: int, offset: Fraction, slope: Fraction) -> GridFunction:
-    """x -> offset + slope x on the grid of resolution G."""
-    return GridFunction(G, ((0, offset), (G, offset + slope)))
-
-
-def _sup(offset: Fraction, slope: Fraction) -> Fraction:
-    """max |offset + slope x| over [0, 1], reached at x = 0 or x = 1."""
-    return max(abs(offset), abs(offset + slope)) if slope else abs(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +243,11 @@ def averaged_composition(
     maps: Sequence[PiecewiseLinearMap],
     reference: Sequence[Tuple],
 ) -> List[Tuple[GridFunction, Fraction]]:
-    """Averages (1/N) sum f o g_j and their grid gap to a weighted reference.
+    """Averages (1/N) sum f o g_j and their sup gap to a weighted reference.
 
     ``reference`` is an explicit weighted list (weight, map) describing
-    the operator being approximated; the weights must sum to one.  For
+    the operator being approximated; the weights must lie in [0, 1] and
+    sum to one.  For
     each function the average over ``maps`` and the sup-norm distance to
     the reference image are returned: for f(x) = a + b x both sides are
     a + b M(x), M the weighted sum of their maps.
@@ -297,6 +255,8 @@ def averaged_composition(
     if not maps:
         raise InputError("need at least one composition map")
     ref = [(as_fraction(w), m) for w, m in reference]
+    if any(not 0 <= w <= 1 for w, _ in ref):
+        raise InputError("reference weights must lie in [0, 1]")
     if sum((w for w, _ in ref), Fraction(0)) != 1:
         raise InputError("reference weights must sum to 1")
     mean = StageEntries(tuple(Counter(maps).items())).mean
@@ -417,15 +377,15 @@ class IntertwiningResult:
     horizon: int
     step_distances: tuple
     step_bounds: tuple
-    #: (G, w_H, the steps w_n - w_(n+1) for n = start..H-1), the rungs and
-    #: steps as their (offset, slope) at stage H on the grid of resolution G
+    #: (w_H, the steps w_n - w_(n+1) for n = start..H-1), the rung and the
+    #: steps as their (offset, slope) at stage H
     ladder: tuple = field(repr=False)
 
     @cached_property
     def functions(self) -> tuple:
         """w_n for n = start..horizon at stage ``horizon``, summed on first read."""
-        G, top, steps = self.ladder
-        lines = (_line(G, *pair) for pair in (top, *reversed(steps)))
+        top, steps = self.ladder
+        lines = (GridFunction(*pair) for pair in (top, *reversed(steps)))
         return tuple(accumulate(lines, GridFunction.add))[::-1]
 
 
@@ -454,7 +414,7 @@ def simulate_intertwining(
     the steps when ``functions`` is first read.
 
     Consecutive ladder elements differ only through the stage-n
-    disagreement, so their grid distance is at most 2 (disagreeing
+    disagreement, so their sup distance is at most 2 (disagreeing
     entries)/l(n+1) (times the norm of v).  A violated bound raises
     ConsistencyError, since it cannot happen unless the inputs break the
     stated preconditions; a returned result therefore has every step
@@ -495,7 +455,7 @@ def simulate_intertwining(
         horizon=horizon,
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
-        ladder=(v.resolution, (offset, slope), tuple(steps)),
+        ladder=((offset, slope), tuple(steps)),
     )
 
 

@@ -297,6 +297,9 @@ def test_explicit_family_validation():
         make_explicit_family([1, 6], [1, 1])  # k(0) != 0
     with pytest.raises(InputError):
         make_explicit_family([1, 6], [0])  # length mismatch
+    for d, k in (([1, True, 4], [0, False, 1]), ([True, 6], [0, 1]), ([1, 6], [False, 1])):
+        with pytest.raises(InputError, match="nonnegative integers"):
+            make_explicit_family(d, k)  # booleans are not read as 0 and 1
     fam = make_explicit_family([1, 6, 36], [0, 1, 1])
     with pytest.raises(InputError):
         fam.d(3)  # beyond the supplied range

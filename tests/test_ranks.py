@@ -1,7 +1,7 @@
 import pytest
 
 from ahcert.errors import InputError
-from ahcert.params import make_geometric_family, sequences
+from ahcert.params import make_explicit_family, make_geometric_family, sequences
 from ahcert.ranks import (
     ENTRY_COORD_PROJECTION,
     ENTRY_INTERVAL_MAP,
@@ -9,6 +9,7 @@ from ahcert.ranks import (
     ENTRY_OPAQUE_Y_TO_Y,
     ENTRY_POINT_EVAL_X,
     ENTRY_POINT_EVAL_Y,
+    MAX_LAYOUT_ENTRIES,
     MERGED,
     SPLIT,
     K0Class,
@@ -143,6 +144,16 @@ def test_stage_layout_counts_and_cross_pattern(table):
         split = stage_layout(table, n, SPLIT)
         assert all(e.kind == ENTRY_OPAQUE_X_TO_X for e in split.x_target[d:])
         assert all(e.kind == ENTRY_OPAQUE_Y_TO_Y for e in split.y_target[d:])
+
+
+def test_stage_layout_refuses_a_stage_above_the_entry_cap():
+    # 2^40 entries per target could never be built: the cap refuses first
+    huge = sequences(make_explicit_family([1, 2 ** 40], [0, 1]), 1)
+    for system in (MERGED, SPLIT):
+        with pytest.raises(InputError, match="above the cap 65536"):
+            stage_layout(huge, 0, system)
+    at_cap = sequences(make_explicit_family([1, MAX_LAYOUT_ENTRIES - 1], [0, 1]), 1)
+    assert len(stage_layout(at_cap, 0).x_target) == MAX_LAYOUT_ENTRIES
 
 
 def test_stage_layout_bounds(table):

@@ -38,6 +38,11 @@ def table():
 # -- interval maps and grid functions ---------------------------------------
 
 
+def samples(f, G):
+    """f on the grid {i/G : 0 <= i <= G}."""
+    return [f(Fraction(i, G)) for i in range(G + 1)]
+
+
 def test_piecewise_linear_map_evaluation():
     tent = contraction_map(Fraction(1, 2), Fraction(1, 2))
     assert tent(Fraction(0)) == Fraction(1, 4)
@@ -77,35 +82,57 @@ def test_map_refuses_float_breakpoints_up_front():
     # ints and "p/q" strings are exact and accepted
     m = PiecewiseLinearMap("1/4", "1/2")
     assert m == contraction_map(Fraction(1, 2))
-    assert GridFunction(4, ((0, 0), (4, 1))).resample(m).knots == (
-        (0, Fraction(1, 4)), (4, Fraction(3, 4)),
-    )
+    assert GridFunction(0, 1).resample(m) == GridFunction(Fraction(1, 4), Fraction(1, 2))
+
+
+def test_grid_function_is_its_offset_and_slope():
+    assert [f.name for f in dataclasses.fields(GridFunction)] == ["offset", "slope"]
+    f = GridFunction(1, "-1/2")
+    assert (f.offset, f.slope) == (Fraction(1), Fraction(-1, 2))
+    assert f == GridFunction(Fraction(1), Fraction(-1, 2))
+    # a trace function need not map [0, 1] into itself
+    assert GridFunction(-3, 5).sup_norm() == 3
+
+
+def test_piecewise_linear_map_is_a_grid_function():
+    m = contraction_map(Fraction(1, 4))
+    assert isinstance(m, GridFunction)
+    assert dataclasses.fields(PiecewiseLinearMap) == dataclasses.fields(GridFunction)
+    assert m(Fraction(1)) == GridFunction(m.offset, m.slope)(Fraction(1)) == Fraction(5, 8)
+    GridFunction(Fraction(1, 2), Fraction(2, 3))  # leaves [0, 1], but is no map
+    with pytest.raises(InputError, match=r"map leaves \[0, 1\]"):
+        PiecewiseLinearMap(Fraction(1, 2), Fraction(2, 3))
 
 
 def test_grid_function_exact_interpolation():
     f = GridFunction.from_callable(lambda x: 2 * x - 1, 8)
-    assert f.interpolate(Fraction(1, 8)) == Fraction(-3, 4)
-    mid = f.interpolate(Fraction(3, 16))
+    assert f(Fraction(1, 8)) == Fraction(-3, 4)
+    mid = f(Fraction(3, 16))
     assert mid == (Fraction(-3, 4) + Fraction(-1, 2)) / 2
     assert f.sup_norm() == 1
+    for x in (Fraction(-1, 8), Fraction(9, 8)):
+        with pytest.raises(InputError, match="outside"):
+            f(x)
+    with pytest.raises(InputError, match="float"):
+        f(0.5)
 
 
 def test_grid_function_refuses_a_non_affine_function():
     with pytest.raises(InputError, match="trace functions are affine"):
         GridFunction.from_callable(lambda x: x * x, 8)
+    bent = {Fraction(1, 4): Fraction(1, 4), Fraction(1, 2): Fraction(1, 3)}
     with pytest.raises(InputError, match="indices 0, 4 and 8 are not collinear"):
-        GridFunction(8, ((0, 0), (2, Fraction(1, 4)), (4, Fraction(1, 3)), (8, 1)))
-    # collinear inner knots are accepted and dropped
-    f = GridFunction(8, ((0, 1), (2, Fraction(3, 4)), (5, Fraction(3, 8)), (8, 0)))
-    assert f == GridFunction(8, ((0, 1), (8, 0)))
-    assert f.knots == ((0, Fraction(1)), (8, Fraction(0)))
+        GridFunction.from_callable(lambda x: bent.get(x, x), 8)
+    # every sample on the line through the ends: the pair of that line
+    f = GridFunction.from_callable(lambda x: 1 - x, 8)
+    assert f == GridFunction(1, -1)
 
 
 def test_grid_function_resample_identity_and_constant():
     f = GridFunction.from_callable(lambda x: x, 16)
-    assert f.resample(identity_map()).values == f.values
+    assert samples(f.resample(identity_map()), 16) == samples(f, 16)
     g = f.resample(constant_map(Fraction(3, 8)))
-    assert set(g.values) == {Fraction(3, 8)}
+    assert set(samples(g, 16)) == {Fraction(3, 8)}
 
 
 # -- the affine form against dense samples ----------------------------------
@@ -148,12 +175,9 @@ def affine_samples(draw, resolution):
     return [first + (last - first) * Fraction(i, resolution) for i in range(resolution + 1)]
 
 
-@st.composite
-def affine_knots(draw, resolution):
-    """The samples of an affine function at a few drawn grid indices, 0 and G among them."""
-    samples = draw(affine_samples(resolution))
-    inner = draw(st.lists(st.integers(1, max(1, resolution - 1)), max_size=6))
-    return tuple((i, samples[i]) for i in sorted({0, resolution} | {i for i in inner if i < resolution}))
+def affine_function(samples):
+    """The affine function through the end samples."""
+    return GridFunction(samples[0], samples[-1] - samples[0])
 
 
 @st.composite
@@ -165,26 +189,26 @@ def interval_maps(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
-def test_knot_form_matches_dense_samples(data):
+def test_affine_form_matches_dense_samples(data):
     G = data.draw(st.integers(1, 64), label="G")
-    samples = data.draw(affine_samples(G), label="f")
+    dense = data.draw(affine_samples(G), label="f")
     other = data.draw(affine_samples(G), label="g")
     m1 = data.draw(interval_maps(), label="m1")
     m2 = data.draw(interval_maps(), label="m2")
     c1, c2 = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     x = data.draw(unit_fractions, label="x")
 
-    f = GridFunction(G, tuple(enumerate(samples)))
-    g = GridFunction(G, tuple(enumerate(other)))
-    assert f.values == tuple(samples)
-    assert f.knots == ((0, samples[0]), (G, samples[G]))
-    assert f.resample(m1).values == tuple(dense_resample(samples, m1))
+    f, g = affine_function(dense), affine_function(other)
+    assert samples(f, G) == dense
+    assert GridFunction.from_callable(lambda y: dense_interpolate(dense, y), G) == f
+    assert samples(f.resample(m1), G) == dense_resample(dense, m1)
     stage = StageEntries(((m1, c1), (m2, c2)))
-    assert stage.push(f).values == tuple(direct_push(stage, samples))
-    assert f.add(g).values == tuple(a + b for a, b in zip(samples, other))
-    assert f.distance(g) == max(abs(a - b) for a, b in zip(samples, other))
-    assert f.sup_norm() == max(abs(a) for a in samples)
-    assert f.interpolate(x) == dense_interpolate(samples, x)
+    assert samples(stage.push(f), G) == direct_push(stage, dense)
+    assert samples(f.add(g), G) == [a + b for a, b in zip(dense, other)]
+    assert samples(f.sub(g), G) == [a - b for a, b in zip(dense, other)]
+    assert f.distance(g) == max(abs(a - b) for a, b in zip(dense, other))
+    assert f.sup_norm() == max(abs(a) for a in dense)
+    assert f(x) == dense_interpolate(dense, x)
 
 
 @st.composite
@@ -202,16 +226,16 @@ def shared_entries(draw):
 @given(st.data())
 def test_fused_push_matches_dense_samples(data):
     G = data.draw(st.integers(1, 256), label="G")
-    f = GridFunction(G, data.draw(affine_knots(G), label="f"))
-    samples = list(f.values)
+    dense = data.draw(affine_samples(G), label="f")
+    f = affine_function(dense)
     first = StageEntries(tuple(data.draw(shared_entries(), label="A")))
     second = StageEntries(tuple(data.draw(shared_entries(), label="B")))
 
-    expected_a, expected_b = direct_push(first, samples), direct_push(second, samples)
-    assert first.push(f).values == tuple(expected_a)
+    expected_a, expected_b = direct_push(first, dense), direct_push(second, dense)
+    assert samples(first.push(f), G) == expected_a
     # the stage difference, as a ladder stage forms it
     gap = second.push(f).sub(first.push(f))
-    assert gap.values == tuple(b - a for a, b in zip(expected_a, expected_b))
+    assert samples(gap, G) == [b - a for a, b in zip(expected_a, expected_b)]
 
 
 def test_synthetic_stage_maps_are_built_once_per_process():
@@ -232,7 +256,7 @@ def test_synthetic_stage_maps_are_built_once_per_process():
         assert point_b == constant_map(pts[3 * n + 2])
 
 
-# Step distances of the N = 6 ladder from v(x) = x, the same at every grid.
+# Step distances of the N = 6 ladder from v(x) = x, read at every grid.
 N6_LADDER = (
     "1/28",
     "3/518",
@@ -253,7 +277,8 @@ def test_n6_ladder_is_pinned_at_every_grid(grid):
     sys_a, sys_b = synthetic_system_pair(
         sequences(make_geometric_family(6), stages), stages
     )
-    v = GridFunction(grid, ((0, 0), (grid, 1)))
+    v = GridFunction.from_callable(lambda x: x, grid)
+    assert v == GridFunction(0, 1)
     res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
     assert res.step_distances == tuple(Fraction(d) for d in N6_LADDER)
     assert res.step_bounds == tuple(
@@ -261,20 +286,12 @@ def test_n6_ladder_is_pinned_at_every_grid(grid):
     )
 
 
-def test_synthetic_ladder_functions_have_two_knots():
-    sim_table = sequences(make_geometric_family(6), 8)
-    sys_a, sys_b = synthetic_system_pair(sim_table, 8)
-    v = GridFunction(4096, ((0, 0), (4096, 1)))
-    res = simulate_intertwining(sys_a, sys_b, v, 0, 8)
-    assert [len(w.knots) for w in res.functions] == [2] * 9
-
-
 def test_ladder_rungs_are_summed_on_first_read():
     stages = 20
     sys_a, sys_b = synthetic_system_pair(
         sequences(make_geometric_family(6), stages), stages
     )
-    v = GridFunction(64, ((0, 0), (64, 1)))
+    v = GridFunction(0, 1)
     res = simulate_intertwining(sys_a, sys_b, v, 0, stages)
     assert "functions" not in vars(res)
     assert len(res.functions) == stages + 1
@@ -284,19 +301,15 @@ def test_ladder_rungs_are_summed_on_first_read():
     assert dataclasses.replace(res).functions == res.functions
 
 
-def test_grid_function_refuses_malformed_knots():
-    for knots in (
-        ((0, 0),),
-        ((1, 0), (8, 1)),
-        ((0, 0), (7, 1)),
-        ((0, 0), (4, 1), (4, 2), (8, 0)),
-    ):
-        with pytest.raises(InputError):
-            GridFunction(8, knots)
-    with pytest.raises(InputError):
-        GridFunction(8, ((0, 0.5), (8, 1)))
-    with pytest.raises(InputError):
-        GridFunction(0, ((0, 0),))
+def test_grid_function_refuses_floats_and_bad_resolutions():
+    for offset, slope in ((0.5, 1), (0, 1.0)):
+        with pytest.raises(InputError, match="float"):
+            GridFunction(offset, slope)
+    with pytest.raises(InputError, match="float"):
+        GridFunction.from_callable(lambda x: float(x), 4)
+    for G in (0, -2, 2.0, True):
+        with pytest.raises(InputError, match="resolution"):
+            GridFunction.from_callable(lambda x: x, G)
 
 
 # -- convex-weight rounding ---------------------------------------------------
@@ -362,7 +375,7 @@ def test_averaged_composition_trivial_gap():
     )
     avg, gap = out[0]
     assert gap == 0
-    assert avg.values == f.values
+    assert avg == f
 
 
 def test_averaged_composition_exact_weights():
@@ -389,13 +402,13 @@ def test_averaged_composition_rounded_weights_within_epsilon():
     f = GridFunction.from_callable(lambda x: 1 - x / 2, 128)
     (avg, gap), = averaged_composition([f], maps, list(zip(alphas, h)))
     # the same average and gap on every dense sample
-    samples = list(f.values)
-    dense_avg = direct_push(StageEntries(tuple((m, 1) for m in maps)), samples)
+    dense = samples(f, 128)
+    dense_avg = direct_push(StageEntries(tuple((m, 1) for m in maps)), dense)
     dense_ref = [
         sum(a * y for a, y in zip(alphas, ys))
-        for ys in zip(*(dense_resample(samples, m) for m in h))
+        for ys in zip(*(dense_resample(dense, m) for m in h))
     ]
-    assert avg.values == tuple(dense_avg)
+    assert samples(avg, 128) == dense_avg
     assert gap == max(abs(a - b) for a, b in zip(dense_avg, dense_ref))
     # | (1/N) sum f o g - sum alpha f o h | <= sum |alpha - beta| * ||f||
     assert gap <= plan.deviation * f.sup_norm()
@@ -406,6 +419,14 @@ def test_averaged_composition_requires_markov_reference():
     f = GridFunction.from_callable(lambda x: x, 8)
     with pytest.raises(InputError):
         averaged_composition([f], [identity_map()], [(Fraction(1, 2), identity_map())])
+
+
+def test_averaged_composition_refuses_weights_outside_the_unit_interval():
+    f = GridFunction(0, 1)
+    # the weights sum to 1, but the reference is no average of its maps
+    reference = [(2, identity_map()), (-1, constant_map(0))]
+    with pytest.raises(InputError, match=r"weights must lie in \[0, 1\]"):
+        averaged_composition([f], [identity_map()], reference)
 
 
 # -- stage gaps ---------------------------------------------------------------
@@ -460,10 +481,10 @@ def test_intertwining_steps_obey_stage_gaps(table):
 
 def test_intertwining_preserves_order_unit(table):
     sys_a, sys_b = synthetic_system_pair(table, 4)
-    v = GridFunction.constant(Fraction(1), 64)
+    v = GridFunction(1, 0)
     res = simulate_intertwining(sys_a, sys_b, v, 0, 4)
     for w in res.functions:
-        assert set(w.values) == {Fraction(1)}
+        assert w == v
     assert all(d == 0 for d in res.step_distances)
 
 
@@ -534,7 +555,8 @@ def stage_pairs(draw):
 @given(st.data())
 def test_ladder_matches_its_direct_definition(data):
     G = data.draw(st.sampled_from([1, 2, 3, 64, 4096]) | st.integers(1, 256), label="G")
-    v = GridFunction(G, data.draw(affine_knots(G), label="v"))
+    dense = data.draw(affine_samples(G), label="v")
+    v = affine_function(dense)
     m = data.draw(st.integers(1, 2), label="m")
     horizon = m + data.draw(st.integers(1, 3), label="stages")
     pairs = [data.draw(stage_pairs(), label=f"stage {n}") for n in range(horizon)]
@@ -542,8 +564,8 @@ def test_ladder_matches_its_direct_definition(data):
     system_b = [b for _, b in pairs]
 
     res = simulate_intertwining(system_a, system_b, v, m, horizon)
-    functions, distances, bounds = direct_ladder(system_a, system_b, list(v.values), m, horizon)
-    assert tuple(w.values for w in res.functions) == functions
+    functions, distances, bounds = direct_ladder(system_a, system_b, dense, m, horizon)
+    assert tuple(tuple(samples(w, G)) for w in res.functions) == functions
     assert res.step_distances == distances
     assert res.step_bounds == bounds
 
@@ -563,10 +585,10 @@ def test_push_returns_constants_unchanged_and_moves_lines():
     stage = StageEntries(
         ((contraction_map(Fraction(1, 4)), 3), (constant_map(Fraction(1, 2)), 1))
     )
-    line = GridFunction(8, ((0, 0), (8, 1)))
+    line = GridFunction(0, 1)
     # (3/4) (x/2 + 1/8) + (1/4)(1/2) = 3x/8 + 7/32
-    assert stage.push(line) == GridFunction(8, ((0, Fraction(7, 32)), (8, Fraction(19, 32))))
-    level = GridFunction.constant(Fraction(-2, 3), 8)
+    assert stage.push(line) == GridFunction(Fraction(7, 32), Fraction(3, 8))
+    level = GridFunction(Fraction(-2, 3), 0)
     assert stage.push(level) is level
 
 
@@ -577,9 +599,9 @@ def test_one_stage_push_positive_and_unital(table):
     f = GridFunction.from_callable(lambda x: x, 64)
     g = GridFunction.from_callable(lambda x: x / 2, 64)
     pf, pg = stage.push(f), stage.push(g)
-    assert all(a >= b for a, b in zip(pf.values, pg.values))  # monotone
-    unit = GridFunction.constant(Fraction(1), 64)
-    assert set(stage.push(unit).values) == {Fraction(1)}
+    assert all(a >= b for a, b in zip(samples(pf, 64), samples(pg, 64)))  # monotone
+    unit = GridFunction(1, 0)
+    assert stage.push(unit) == unit
 
 
 # -- the flip -----------------------------------------------------------------
