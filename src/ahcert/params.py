@@ -72,7 +72,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import add, attrgetter, eq, ge, gt, le, lt, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -273,7 +273,10 @@ class Check:
     constant: there ``rhs`` is the constant's ``Enclosure``, compared by
     its numerator and denominator and reported as its ``side``, an
     expression in the tabulated sequences, so its digits are never
-    printed.
+    printed.  The code that records a check decides its bounds on integer
+    pairs and builds each side once, as a ``Fraction``, for the record;
+    ``holds`` and ``reverify`` compare the sides by cross-multiplication,
+    never by a ``Fraction`` operator.
 
     A certify run builds about forty of these.  A frozen dataclass sets
     each field through ``object.__setattr__``, which more than doubles the
@@ -305,8 +308,15 @@ def _holds(lhs, rel: str, rhs) -> bool:
 
 
 def check(name: str, lhs, rel: str, rhs) -> Check:
-    lhs = as_fraction(lhs)
-    rhs = as_fraction(rhs)
+    """The record of ``lhs rel rhs``, the one path every recorded
+    comparison takes.  A side that is not already a ``Fraction`` (an int,
+    a "p/q" string) is coerced by ``as_fraction``; the certificates pass
+    the ``Fraction`` they built once for the record, which is kept as is.
+    """
+    if type(lhs) is not Fraction:
+        lhs = as_fraction(lhs)
+    if type(rhs) is not Fraction:
+        rhs = as_fraction(rhs)
     return Check(name, lhs, rel, rhs, _holds(lhs, rel, rhs))
 
 
@@ -837,8 +847,9 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     )
     entries = []
 
-    # k(n) < d(n) at every tabulated stage.  Violations are exact.
-    bad = [n for n, (kn, dn) in enumerate(zip(table.k, table.d)) if kn >= dn]
+    # k(n) < d(n) at every tabulated stage.  Violations are exact; the
+    # note lists the first eight.
+    bad = list(islice(compress(count(), map(ge, table.k, table.d)), 8))
     witness_n = bad[0] if bad else horizon
     entries.append(
         ConstraintEntry(
@@ -853,7 +864,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
                     table.d[witness_n],
                 ),
             ),
-            note="" if not bad else f"violated at stages {bad[:8]}",
+            note="" if not bad else f"violated at stages {bad}",
         )
     )
 
@@ -874,12 +885,17 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
             name, STATUS_INCONCLUSIVE, evidence_limit, tuple(pass_checks), note
         )
 
-    # Each rational below is built once and shared by every check that
-    # records it.
+    # Each rational below is an integer pair x_p/x_q with x_q > 0, and a
+    # Fraction is built once for each one a check records.
     omega = table.omega
-    two_omega = 2 * omega
-    lower_gap = 2 * w.kappa_lb - 1
-    upper_gap = 2 * w.kappa_ub - 1
+    omega_p, omega_q = omega.numerator, omega.denominator
+    two_omega = Fraction(2 * omega_p, omega_q)
+    # 2 kappa - 1 at the lower and the upper witness
+    lower_q, upper_q = w.kappa_lb.denominator, w.kappa_ub.denominator
+    lower_p = 2 * w.kappa_lb.numerator - lower_q
+    upper_p = 2 * w.kappa_ub.numerator - upper_q
+    lower_gap = Fraction(lower_p, lower_q)
+    upper_gap = Fraction(upper_p, upper_q)
 
     # kappa > 1/2, attempted with kappa_lb, refuted with the envelope.
     entries.append(
@@ -913,7 +929,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
     )
 
     # 1/(1 - 2*omega) < (2*kappa - 1)/(2*omega): the separation margin.
-    if omega >= half or omega <= 0:
+    if not (0 < omega_p and 2 * omega_p < omega_q):
         entries.append(
             ConstraintEntry(
                 name="separation_margin",
@@ -924,7 +940,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
             )
         )
     else:
-        upper = 1 / (1 - two_omega)
+        upper = Fraction(omega_q, omega_q - 2 * omega_p)  # 1/(1 - 2 omega)
         entries.append(
             limit_entry(
                 "separation_margin",
@@ -933,7 +949,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_lb - 1)/(2*omega)",
                         upper,
                         "<",
-                        lower_gap / two_omega,
+                        Fraction(lower_p * omega_q, lower_q * 2 * omega_p),
                     )
                 ],
                 [
@@ -941,7 +957,7 @@ def check_constraints(table, horizon: Optional[int] = None) -> ConstraintReport:
                         "1/(1-2*omega) < (2*kappa_ub - 1)/(2*omega)",
                         upper,
                         "<",
-                        upper_gap / two_omega,
+                        Fraction(upper_p * omega_q, upper_q * 2 * omega_p),
                     )
                 ],
             )

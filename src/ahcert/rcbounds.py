@@ -23,6 +23,15 @@ sides, so it can be re-verified independently of the code that produced
 it.  The functions work at the table's witness precision; a caller left
 undecided retries at more bits (``params.first_decided``).
 
+Every certificate compares integers by cross-multiplication.  It reads
+each witness and constant as a pair (numerator, denominator) once, on
+entry, derives every bound as an unreduced integer pair with a positive
+denominator, and decides every guard and scan on those integers.  It
+builds each rational that a record holds once, as ``Fraction(p, q)``; no
+``Fraction`` operator runs on the decided path.  Only a refusal, off
+that path, still computes on ``Fraction``s: its message's bounds and
+whether the exact values refuse too.
+
 No certificate checks the stages one by one.  Each records the single
 inequality that implies every stage, including those beyond the
 horizon, so its size does not grow with the horizon:
@@ -49,7 +58,7 @@ from .errors import InconclusiveAtHorizon, InputError, RefusedAtPrecision
 from .params import Check, SequenceTable, check
 from .rationals import as_fraction, brief, format_rational, shown
 
-#: Denominators tried for delta are the powers of two up to this one.
+#: delta is a dyadic whose denominator, a power of two, is at most this.
 DELTA_DENOMINATOR_CAP = 2 ** 20
 
 
@@ -130,34 +139,37 @@ class SeparationReport:
     checks: tuple
 
 
-def _find_delta(rho: Fraction, target: Fraction, omega: Fraction) -> Fraction:
-    """Largest dyadic delta in (0, omega) with rho < (1-delta) target, where
-    target = (2 kappa_lb - 1)/(2 omega).
+def _find_delta(rho: tuple, target: tuple, omega: tuple) -> tuple:
+    """(p, 2^j): the largest dyadic delta = p/2^j in (0, omega) with
+    rho < (1-delta) target, at the least power of two 2^j that admits one.
 
-    Bisecting the admissible interval by denominator: at each power-of-two
-    denominator we try the largest candidate below the bound, and the
-    first denominator admitting one wins (ties broken toward larger
-    delta by construction).
+    rho, target = (2 kappa_lb - 1)/(2 omega) and omega are integer pairs
+    (numerator, denominator > 0) with 1 < rho < target and
+    0 < omega < 1/2.  The admissible deltas are those in (0, bound), with
+    bound = min(omega, 1 - rho/target) < 1/2, so 2^j admits one exactly
+    when 2^j > 1/bound: 2^j is the least power of two above
+    floor(1/bound), and p = ceil(bound 2^j) - 1.
     """
-    bound = min(omega, 1 - rho / target)
-    denom = 2
-    while denom <= DELTA_DENOMINATOR_CAP:
-        # largest p/denom strictly below bound
-        p = (bound.numerator * denom - 1) // bound.denominator
-        if p >= 1:
-            delta = Fraction(p, denom)
-            if 0 < delta < omega and rho < (1 - delta) * target:
-                return delta
-        denom *= 2
-    raise InconclusiveAtHorizon(
-        f"no admissible delta with denominator <= {DELTA_DENOMINATOR_CAP}"
-    )
+    rho_p, rho_q = rho
+    target_p, target_q = target
+    omega_p, omega_q = omega
+    room_p, room_q = rho_q * target_p - rho_p * target_q, rho_q * target_p  # 1 - rho/target
+    if omega_p * room_q <= room_p * omega_q:
+        bound_p, bound_q = omega_p, omega_q
+    else:
+        bound_p, bound_q = room_p, room_q
+    denom = 1 << (bound_q // bound_p).bit_length()
+    if denom > DELTA_DENOMINATOR_CAP:
+        raise InconclusiveAtHorizon(
+            f"no admissible delta with denominator <= {DELTA_DENOMINATOR_CAP}"
+        )
+    return (bound_p * denom - 1) // bound_q, denom
 
 
 def certify_rc_lower(table: SequenceTable, rho) -> RcLowerCertificate:
     """Search for and verify a lower certificate at level rho.
 
-    Deterministic search: delta by denominator-doubling bisection,
+    Deterministic search: delta as the shortest admissible dyadic,
     n0 and n by ascending scan, N1 as the least admissible multiple of
     rho's denominator.  Raises InputError if rho is outside the open
     interval (1, (2 kappa_lb - 1)/(2 omega)) and InconclusiveAtHorizon
@@ -170,51 +182,60 @@ def certify_rc_lower(table: SequenceTable, rho) -> RcLowerCertificate:
     horizon = table.horizon
     kappa_lb = table.witness.kappa_lb
     omega = table.omega
-    half = Fraction(1, 2)
     if table.kappa_lb_vacuous:
         raise InputError("certified kappa bound is vacuous")
-    if kappa_lb <= half:
+    # Every rational below is an integer pair x_p/x_q with x_q > 0.
+    kappa_p, kappa_q = kappa_lb.numerator, kappa_lb.denominator
+    omega_p, omega_q = omega.numerator, omega.denominator
+    rho_p, beta = rho.numerator, rho.denominator
+    if 2 * kappa_p <= kappa_q:
         raise _refusal(
             table,
-            kappa_lb + table.ulp <= half,
+            kappa_lb + table.ulp <= Fraction(1, 2),
             "certified kappa bound does not exceed 1/2",
         )
-    if not 0 < omega < half:
+    if not (0 < omega_p and 2 * omega_p < omega_q):
         raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
-    # Each rational below is built once and shared by every check that
-    # records it.
-    two_kappa = 2 * kappa_lb
-    two_omega = 2 * omega
-    target = (two_kappa - 1) / two_omega
-    if not 1 < rho < target:
+    # target = (2 kappa_lb - 1)/(2 omega)
+    target_p, target_q = (2 * kappa_p - kappa_q) * omega_q, 2 * omega_p * kappa_q
+    if not (beta < rho_p and rho_p * target_q < target_p * beta):
         message = (
-            f"rho must lie strictly between 1 and {brief(target)} (certified), "
-            f"got {brief(rho)}"
+            f"rho must lie strictly between 1 and {brief(Fraction(target_p, target_q))} "
+            f"(certified), got {brief(rho)}"
         )
-        above = (2 * (kappa_lb + table.ulp) - 1) / two_omega
+        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
         raise _refusal(table, rho <= 1 or rho >= above, message)
 
-    beta = rho.denominator
-    delta = _find_delta(rho, target, omega)
-    co_delta = 1 - delta
-    epsilon = delta / (2 * rho * co_delta)
+    delta_p, delta_q = _find_delta((rho_p, beta), (target_p, target_q), (omega_p, omega_q))
+    co_delta_p = delta_q - delta_p  # 1 - delta = co_delta_p/delta_q
+    delta = Fraction(delta_p, delta_q)
+    # epsilon = delta/(2 rho (1-delta))
+    epsilon_p, epsilon_q = delta_p * beta, 2 * rho_p * co_delta_p
+    epsilon = Fraction(epsilon_p, epsilon_q)
 
     checks = [
         check("0 < delta", 0, "<", delta),
         check("delta < omega", delta, "<", omega),
-        check("rho < (1-delta)(2 kappa_lb - 1)/(2 omega)", rho, "<", co_delta * target),
-        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==", delta / (2 * rho * co_delta)),
+        check(
+            "rho < (1-delta)(2 kappa_lb - 1)/(2 omega)",
+            rho,
+            "<",
+            Fraction(co_delta_p * target_p, delta_q * target_q),
+        ),
+        # epsilon is this formula's value, built once for both sides.
+        check("epsilon = delta/(2 rho (1-delta))", epsilon, "==", epsilon),
     ]
 
     # Stage from which the ratio envelope is epsilon-flat: beyond n0,
     # every later ratio stays above (1 - epsilon) times the current one.
-    # The scan cross-multiplies, so no s(m)/r(m) is ever reduced.
-    co_epsilon = 1 - epsilon
-    flat = kappa_lb / co_epsilon
+    # The scan compares kappa_lb/(1 - epsilon) with s(m)/r(m) by
+    # cross-multiplication, so no s(m)/r(m) is ever reduced.
+    co_epsilon_p = epsilon_q - epsilon_p  # 1 - epsilon = co_epsilon_p/epsilon_q
+    flat_p, flat_q = kappa_p * epsilon_q, kappa_q * co_epsilon_p
     n0 = None
     for cand in range(1, horizon + 1):
         at = table.stage(cand)
-        if flat.numerator * at.r > at.s * flat.denominator:
+        if flat_p * at.r > at.s * flat_q:
             n0 = cand
             break
     if n0 is None:
@@ -226,19 +247,20 @@ def certify_rc_lower(table: SequenceTable, rho) -> RcLowerCertificate:
             f"kappa_lb > (1-eps) s({n0})/r({n0})",
             kappa_lb,
             ">",
-            co_epsilon * Fraction(at.s, at.r),
+            Fraction(co_epsilon_p * at.s, epsilon_q * at.r),
         )
     )
 
     # The window (1 - omega + 2 rho omega, 2 kappa_lb (1-delta)) for N1/r(n).
-    window_lo = 1 - omega + rho * two_omega
-    window_hi = two_kappa * co_delta
-    window_gap = window_hi - window_lo
+    lo_p, lo_q = beta * (omega_q - omega_p) + 2 * rho_p * omega_p, beta * omega_q
+    hi_p, hi_q = 2 * kappa_p * co_delta_p, kappa_q * delta_q
+    gap_p, gap_q = hi_p * lo_q - lo_p * hi_q, hi_q * lo_q
+    window_gap = Fraction(gap_p, gap_q)
     checks.append(check("window is nonempty", window_gap, ">", 0))
 
     n = None
     for cand in range(n0, horizon + 1):
-        if beta * window_gap.denominator < window_gap.numerator * table.stage(cand).r:
+        if beta * gap_q < gap_p * table.stage(cand).r:
             n = cand
             break
     if n is None:
@@ -250,33 +272,35 @@ def certify_rc_lower(table: SequenceTable, rho) -> RcLowerCertificate:
 
     # Least multiple of beta strictly above the window's lower edge, so
     # that N2 = rho N1 is an integer.
-    multiple = window_lo.numerator * rn // (window_lo.denominator * beta) + 1
+    multiple = lo_p * rn // (lo_q * beta) + 1
     N1 = beta * multiple
-    N2 = rho.numerator * multiple
+    N2 = rho_p * multiple
     n1_share = Fraction(N1, rn)
-    checks.append(check("N1/r(n) > 1 - omega + 2 rho omega", n1_share, ">", window_lo))
-    checks.append(check("N1/r(n) < 2 kappa_lb (1-delta)", n1_share, "<", window_hi))
-    checks.append(check("rho N1 == N2", rho * N1, "==", N2))
+    checks.append(check("N1/r(n) > 1 - omega + 2 rho omega", n1_share, ">", Fraction(lo_p, lo_q)))
+    checks.append(check("N1/r(n) < 2 kappa_lb (1-delta)", n1_share, "<", Fraction(hi_p, hi_q)))
+    checks.append(check("rho N1 == N2", Fraction(rho_p * N1, beta), "==", N2))
 
-    # Trace side: the normalized gap at the two extreme mixtures.
-    tr = Fraction(tn, rn)
-    co_tr = 1 - tr
+    # Trace side: the normalized gap at the two extreme mixtures, with
+    # tr = t(n)/r(n): (N1/r(n) - (1 - tr))/tr and (N2/r(n) - tr)/(1 - tr).
     checks.append(check("t(n) > 0", tn, ">", 0))
     checks.append(check("r(n) - t(n) > 0", rn - tn, ">", 0))
-    endpoint1 = (n1_share - co_tr) / tr
-    endpoint0 = (Fraction(N2, rn) - tr) / co_tr
+    endpoint1 = Fraction(N1 - rn + tn, tn)
+    endpoint0 = Fraction(N2 - tn, rn - tn)
     checks.append(check("endpoint at full X mixture > rho", endpoint1, ">", rho))
     checks.append(check("endpoint at full Y mixture > rho", endpoint0, ">", rho))
 
     # Rank side: pushed to stage m > n, the test projection has rank at
     # most growth * N1 r(m)/r(n), and s(m)/r(m) >= kappa_lb keeps that
     # below the embedding threshold 2 s(m) at every such m.
-    growth = (2 - delta) / (2 * co_delta)
-    checks.append(check("(2-delta)/(2(1-delta)) <= 1/(1-delta)", growth, "<=", 1 / co_delta))
+    growth_p, growth_q = 2 * delta_q - delta_p, 2 * co_delta_p  # (2-delta)/(2(1-delta))
+    checks.append(check(
+        "(2-delta)/(2(1-delta)) <= 1/(1-delta)",
+        Fraction(growth_p, growth_q), "<=", Fraction(delta_q, co_delta_p),
+    ))
     checks.append(check(
         "growth * N1/r(n) < 2 kappa_lb, so growth * N1 r(m)/r(n) < 2 s(m) "
         "for every m > n",
-        growth * n1_share, "<", two_kappa,
+        Fraction(growth_p * N1, growth_q * rn), "<", Fraction(2 * kappa_p, kappa_q),
     ))
 
     failed = [c.name for c in checks if not c.holds]
@@ -320,7 +344,8 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
     Raises InconclusiveAtHorizon when the check fails.
     """
     omega = table.omega
-    if not 0 < omega < Fraction(1, 2):
+    omega_p, omega_q = omega.numerator, omega.denominator
+    if not (0 < omega_p and 2 * omega_p < omega_q):
         raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
     H = table.horizon
     covered = f"n = {H}" if table.horizon_limited else f"every n >= {H}"
@@ -328,7 +353,7 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
         f"tau_ub < 2 omega, so t(n)/r(n) < 2 omega for {covered}",
         table.witness.tau_ub,
         "<",
-        2 * omega,
+        Fraction(2 * omega_p, omega_q),
     )
     if not at_horizon.holds:
         raise InconclusiveAtHorizon(
@@ -336,7 +361,7 @@ def rc_upper(table: SequenceTable) -> RcUpperResult:
             f"below 2 omega = {brief(at_horizon.rhs)}; raise the horizon"
         )
     return RcUpperResult(
-        certified_limit_bound=1 / (1 - 2 * omega), checks=(at_horizon,)
+        certified_limit_bound=Fraction(omega_q, omega_q - 2 * omega_p), checks=(at_horizon,)
     )
 
 
@@ -348,18 +373,19 @@ def default_separation_rho(upper: Fraction, lower_target: Fraction) -> Fraction:
     at least as easy as at the midpoint, and the level's denominator
     depends on the margin only, not on the size of the bounds.
     """
-    if not upper < lower_target:
+    upper_p, upper_q = upper.numerator, upper.denominator
+    lower_p, lower_q = lower_target.numerator, lower_target.denominator
+    if not upper_p * lower_q < lower_p * upper_q:
         raise InputError(f"no level between {brief(upper)} and {brief(lower_target)}")
-    preferred = Fraction(3, 2)
-    if upper < preferred < lower_target:
-        return preferred
-    mid = (upper + lower_target) / 2
-    bits = 0
-    while True:
-        rho = Fraction(mid.numerator * 2 ** bits // mid.denominator, 2 ** bits)
-        if rho > upper:
-            return rho
-        bits += 1
+    if 2 * upper_p < 3 * upper_q and 3 * lower_q < 2 * lower_p:
+        return Fraction(3, 2)
+    mid_p, mid_q = upper_p * lower_q + lower_p * upper_q, 2 * upper_q * lower_q
+    # The midpoint lies at least 1/mid_q above upper, so once 2^bits
+    # exceeds mid_q its rounding down to bits fractional bits does too.
+    for bits in range(mid_q.bit_length() + 1):
+        p = (mid_p << bits) // mid_q
+        if p * upper_q > upper_p << bits:
+            return Fraction(p, 1 << bits)
 
 
 def separation(table: SequenceTable, rho=None) -> SeparationReport:
@@ -374,11 +400,13 @@ def separation(table: SequenceTable, rho=None) -> SeparationReport:
     """
     omega = table.omega
     kappa_lb = table.witness.kappa_lb
-    if not 0 < omega < Fraction(1, 2):
+    omega_p, omega_q = omega.numerator, omega.denominator
+    if not (0 < omega_p and 2 * omega_p < omega_q):
         raise InputError(f"omega = {shown(omega)} outside (0, 1/2)")
-    two_omega = 2 * omega
-    upper = 1 / (1 - two_omega)
-    lower_target = (2 * kappa_lb - 1) / two_omega
+    kappa_p, kappa_q = kappa_lb.numerator, kappa_lb.denominator
+    # 1/(1 - 2 omega) and (2 kappa_lb - 1)/(2 omega)
+    upper = Fraction(omega_q, omega_q - 2 * omega_p)
+    lower_target = Fraction((2 * kappa_p - kappa_q) * omega_q, 2 * omega_p * kappa_q)
     margin = check("upper bound < lower target", upper, "<", lower_target)
     if not margin.holds:
         return SeparationReport(
@@ -401,7 +429,7 @@ def separation(table: SequenceTable, rho=None) -> SeparationReport:
         check("rho < lower target", rho, "<", lower_target),
     )
     if not all(c.holds for c in checks):
-        above = (2 * (kappa_lb + table.ulp) - 1) / two_omega
+        above = (2 * (kappa_lb + table.ulp) - 1) / (2 * omega)
         raise _refusal(
             table,
             rho <= upper or rho >= above,

@@ -309,10 +309,17 @@ def gap_series(table: SequenceTable) -> GapSeries:
     sum is reported.
     """
     w = table.witness
-    partial = 2 * (table.omega + w.omega_prime_partial)
+    omega_p, omega_q = table.omega.numerator, table.omega.denominator
+
+    def doubled_sum(bound: Fraction) -> Fraction:
+        """2 (omega + bound), summed over the product of the denominators."""
+        bound_q = bound.denominator
+        return Fraction(2 * (omega_p * bound_q + bound.numerator * omega_q), omega_q * bound_q)
+
+    partial = doubled_sum(w.omega_prime_partial)
     if table.horizon_limited:
         return GapSeries(partial, None, True, ())
-    total = 2 * (table.omega + w.omega_prime_ub)
+    total = doubled_sum(w.omega_prime_ub)
     checks = (
         check(
             "2(omega + omega'_partial) <= 2(omega + omega'_ub), which encloses "

@@ -877,3 +877,17 @@ def test_explicit_config_without_lists_is_input_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"family": "explicit", "horizon": 3}))
     code, out, err = run_cli(capsys, "chern", "--config", str(cfg))
     assert code == 3 and out == "" and "needs 'd' and 'k'" in err
+
+
+def test_omega_zero_is_refused_and_refuted(capsys, tmp_path):
+    # omega = k(1)/l(1) = 0 while kappa = 4/5 > 1/2: the certificates refuse
+    # it, and certify reports both constraints that need omega > 0.
+    spec = tmp_path / "omega_zero.json"
+    spec.write_text(json.dumps({"d": [1, 2, 4], "k": [0, 0, 1]}))
+    for command in ("rc-lower", "rc-upper"):
+        code, out, err = run_cli(capsys, command, "--spec", str(spec), "--horizon", "2")
+        assert (code, out, err) == (3, "", "input error: omega = 0 outside (0, 1/2)\n")
+    code, report = run_json(capsys, "certify", "--spec", str(spec), "--horizon", "2")
+    assert code == 1 and report["verdict"] == "Refuted"
+    failed = {e["name"] for e in report["constraints"]["entries"] if e["status"] == "fail"}
+    assert failed == {"omega_window", "separation_margin"}

@@ -9,12 +9,14 @@ from ahcert.cli import main
 from ahcert.errors import InconclusiveAtHorizon, InputError
 from ahcert.params import (
     SequenceTable,
+    check_constraints,
     make_explicit_family,
     make_geometric_family,
     sequences,
     table_majorant,
 )
 from ahcert.rcbounds import (
+    DELTA_DENOMINATOR_CAP,
     certify_rc_lower,
     default_separation_rho,
     rc_upper,
@@ -106,6 +108,15 @@ CERTAIN_REFUSALS = [
      "rho = 3/2 does not lie strictly between 3/2 and 27/16"),
     (["certify", "--N", "6", "--horizon", "40", "--rho", "3"], 6, 40, "3",
      "rho = 3/1 does not lie strictly between 7/5 and 147/64"),
+    # rho = (2 (kappa_lb + ulp) - 1)/(2 omega) = 147/64 + 7/64, the target
+    # that the exact kappa_lb cannot exceed.
+    (["rc-lower", "--N", "6", "--horizon", "40", "--rho", "77/32"], 6, 40, "77/32",
+     "rho must lie strictly between 1 and 147/64 (certified), got 77/32"),
+    (["certify", "--N", "6", "--horizon", "40", "--rho", "77/32"], 6, 40, "77/32",
+     "rho = 77/32 does not lie strictly between 7/5 and 147/64"),
+    # kappa_lb + ulp = 7/16 + 1/16 is 1/2 itself.
+    (["rc-lower", "--horizon", "2", "--rho", "3/2"], ([1, 1, 7], [0, 1, 1]), 2, "3/2",
+     "certified kappa bound does not exceed 1/2"),
 ]
 
 
@@ -132,6 +143,58 @@ def test_certain_refusals_never_refine_the_table(
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
+def test_lower_certificate_skips_a_stage_on_the_flat_bound():
+    # At 6 witness bits, rho = 8/7 gives kappa_lb = (1 - eps) s(1)/r(1)
+    # exactly, so stage 1 is not yet epsilon-flat and n0 is stage 2.
+    table = sequences(make_geometric_family(5), 8)
+    cert = certify_rc_lower(table, Fraction(8, 7))
+    assert table.bits == 6
+    assert cert.kappa_lb == (1 - cert.epsilon) * Fraction(table.s[1], table.r[1])
+    assert (cert.n0, cert.n) == (2, 2)
+    assert cert.reverify()
+
+
+def test_lower_certificate_skips_a_stage_whose_window_equals_beta():
+    # On the exact values at rho = 5/2, beta/r(1) = 2/9 is the window gap
+    # itself, so the window first exceeds beta at stage 2.
+    *_, exact = sequences(make_explicit_family([1, 8, 39], [0, 1, 0]), 2).precisions()
+    cert = certify_rc_lower(exact, Fraction(5, 2))
+    gap = next(c.lhs for c in cert.checks if c.name == "window is nonempty")
+    assert gap == Fraction(2, exact.r[1]) == Fraction(2, 9)
+    assert (cert.n0, cert.n) == (1, 2)
+    assert cert.reverify()
+
+
+def test_delta_denominator_cap_is_the_last_one_tried():
+    # With 1 - rho/target = 3/2^21 the shortest admissible delta is 1/2^20,
+    # at the cap; with 1 - rho/target = 1/2^20 it would need 2^21.
+    table = next(t for t in sequences(make_geometric_family(6), 12).precisions() if t.bits == 24)
+    target = (2 * table.witness.kappa_lb - 1) / (2 * table.omega)
+    cert = certify_rc_lower(table, target * (1 - Fraction(3, 2 ** 21)))
+    assert cert.delta == Fraction(1, DELTA_DENOMINATOR_CAP) == Fraction(1, 2 ** 20)
+    assert cert.reverify()
+    with pytest.raises(InconclusiveAtHorizon, match="no admissible delta with denominator"):
+        certify_rc_lower(table, target * (1 - Fraction(1, 2 ** 20)))
+
+
+def test_omega_outside_the_open_half_interval_is_refused():
+    # omega = 0 with kappa = 4/5, and omega = 1/2: both ends of (0, 1/2).
+    zero = sequences(make_explicit_family([1, 2, 4], [0, 0, 1]), 2)
+    half = sequences(make_explicit_family([1, 1, 4], [0, 1, 1]), 2)
+    for table, omega in ((zero, "0"), (half, "1/2")):
+        message = f"omega = {omega} outside \\(0, 1/2\\)"
+        with pytest.raises(InputError, match=message):
+            rc_upper(table)
+        with pytest.raises(InputError, match=message):
+            separation(table)
+        margin = check_constraints(table).entry("separation_margin")
+        assert margin.status == "fail"
+        assert [c.name for c in margin.checks] == ["0 < omega < 1/2"]
+    assert zero.kappa_lb == Fraction(4, 5) and zero.witness.kappa_lb > Fraction(1, 2)
+    with pytest.raises(InputError, match="omega = 0 outside"):
+        certify_rc_lower(zero, Fraction(3, 2))
 
 
 def test_lower_certificate_rho_grid_monotone(table):
@@ -185,6 +248,8 @@ def test_separation_rejects_rho_outside_margin(table):
 def test_default_separation_rho_midpoint():
     assert default_separation_rho(Fraction(7, 5), Fraction(2)) == Fraction(3, 2)
     assert default_separation_rho(Fraction(8, 5), Fraction(2)) == Fraction(7, 4)
+    # 3/2 must lie strictly below the lower target too.
+    assert default_separation_rho(Fraction(7, 5), Fraction(3, 2)) == Fraction(23, 16)
 
 
 def test_paper_scale_margin(table):
