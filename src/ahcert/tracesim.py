@@ -10,7 +10,12 @@ computed once per stage.  An affine function's sup over [0, 1] is its
 larger absolute end value, so every sup norm is exact.  No grid is
 stored: ``GridFunction.from_callable`` samples a grid only to check that
 its input is affine.  The checked quantities (per-step gaps, rounding
-errors) are exact rationals.  The stage-gap series and the flip are each
+errors) are exact rationals.  The intertwining ladder runs on integers:
+each stage also keeps its mean entry as (offset_num, slope_num, q) over
+the least common denominator q, ``simulate_intertwining`` carries every
+line as an unreduced triple and decides every bound by
+cross-multiplication, and a ``Fraction`` is built only for a reported
+distance or bound.  The stage-gap series and the flip are each
 a fixed number of checks at every horizon (``gap_series``,
 ``flip_compatibility``).
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
-from math import ceil
+from math import ceil, lcm
 from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -145,9 +150,25 @@ def _average(weighted_maps: Iterable[Tuple[Fraction, PiecewiseLinearMap]]) -> tu
     return offset, slope
 
 
-def _sup(offset: Fraction, slope: Fraction) -> Fraction:
-    """max |offset + slope x| over [0, 1], reached at x = 0 or x = 1."""
+def _sup(offset, slope):
+    """max |offset + slope x| over [0, 1], reached at x = 0 or x = 1; on
+    integers, the numerator of the sup of (offset + slope x)/q for q > 0."""
     return max(abs(offset), abs(offset + slope)) if slope else abs(offset)
+
+
+def _over_lcm(offset: Fraction, slope: Fraction) -> tuple:
+    """(o, s, q) with offset = o/q and slope = s/q, q their least common
+    denominator."""
+    q = lcm(offset.denominator, slope.denominator)
+    return (offset.numerator * (q // offset.denominator),
+            slope.numerator * (q // slope.denominator), q)
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer, naming it: ``params.is_integer``
+    refuses booleans and floats."""
+    if not is_integer(value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _radical_inverse(i: int, base: int) -> Fraction:
@@ -163,6 +184,8 @@ def _radical_inverse(i: int, base: int) -> Fraction:
 
 def van_der_corput(count: int, base: int = 2) -> List[Fraction]:
     """First ``count`` points of the radical-inverse low-discrepancy sequence."""
+    _require_integer("point count", count)
+    _require_integer("base", base)
     if base < 2:
         raise InputError(f"base must be >= 2, got {base}")
     if count < 0:
@@ -195,6 +218,7 @@ class RoundingPlan:
 
 
 def round_convex_weights(alphas: Sequence, epsilon, N: int) -> RoundingPlan:
+    _require_integer("N", N)
     alphas = tuple(as_fraction(a) for a in alphas)
     epsilon = as_fraction(epsilon)
     n = len(alphas)
@@ -338,7 +362,11 @@ def gap_series(table: SequenceTable) -> GapSeries:
 
 @dataclass(frozen=True)
 class StageEntries:
-    """One stage of a diagonal system: entry maps with multiplicities."""
+    """One stage of a diagonal system: entry maps with multiplicities.
+
+    ``mean`` is the mean entry map, and ``mean_ints`` the same map as the
+    integer triple (offset_num, slope_num, q): its offset and slope over
+    their least common denominator q, the form the ladder runs on."""
 
     entries: tuple  # ((map, multiplicity), ...)
 
@@ -346,15 +374,16 @@ class StageEntries:
         if not self.entries:
             raise InputError("a stage needs at least one entry")
         for m, c in self.entries:
-            if not isinstance(c, int) or c < 1:
+            if not is_integer(c) or c < 1:
                 raise InputError(f"entry multiplicity must be a positive integer, got {c}")
             if not isinstance(m, PiecewiseLinearMap):
                 raise InputError("entries must be piecewise-linear interval maps")
         total = sum(c for _, c in self.entries)
         object.__setattr__(self, "total", total)
         # the mean entry: a convex combination of self-maps of [0, 1]
-        mean = _average((Fraction(c, total), m) for m, c in self.entries)
-        object.__setattr__(self, "mean", PiecewiseLinearMap(*mean))
+        mean = PiecewiseLinearMap(*_average((Fraction(c, total), m) for m, c in self.entries))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean_ints", _over_lcm(mean.offset, mean.slope))
 
     def push(self, f: GridFunction) -> GridFunction:
         """(1/l) sum over entries of f o entry, which is f composed with the
@@ -364,18 +393,33 @@ class StageEntries:
 
 
 def agreement_prefix(a: StageEntries, b: StageEntries) -> int:
-    """Number of leading entry positions (counted with multiplicity) that agree."""
-    ends_a = list(accumulate(c for _, c in a.entries))
-    ends_b = list(accumulate(c for _, c in b.entries))
-    agreed = ia = ib = 0
-    while ia < len(ends_a) and ib < len(ends_b):
-        map_a, map_b = a.entries[ia][0], b.entries[ib][0]
-        if map_a is not map_b and map_a != map_b:
-            break
-        agreed = min(ends_a[ia], ends_b[ib])
-        ia += ends_a[ia] == agreed
-        ib += ends_b[ib] == agreed
-    return agreed
+    """Number of leading entry positions (counted with multiplicity) that agree.
+
+    Walks both runs of entries at once; two maps agree when they are one
+    object or have equal offsets and slopes, read as numerator/denominator
+    pairs."""
+    entries_a, entries_b = a.entries, b.entries
+    agreed = ia = ib = end_a = end_b = 0
+    while True:
+        if end_a == agreed:  # the current run of a ends here: step to the next
+            if ia == len(entries_a):
+                return agreed
+            map_a, count = entries_a[ia]
+            ia, end_a = ia + 1, end_a + count
+        if end_b == agreed:
+            if ib == len(entries_b):
+                return agreed
+            map_b, count = entries_b[ib]
+            ib, end_b = ib + 1, end_b + count
+        if map_a is not map_b and _map_key(map_a) != _map_key(map_b):
+            return agreed
+        agreed = min(end_a, end_b)
+
+
+def _map_key(m: PiecewiseLinearMap) -> tuple:
+    """m's value as integers: its offset and slope are reduced fractions."""
+    return (m.offset.numerator, m.offset.denominator,
+            m.slope.numerator, m.slope.denominator)
 
 
 @dataclass(frozen=True)
@@ -385,14 +429,16 @@ class IntertwiningResult:
     step_distances: tuple
     step_bounds: tuple
     #: (w_H, the steps w_n - w_(n+1) for n = start..H-1), the rung and the
-    #: steps as their (offset, slope) at stage H
+    #: steps at stage H as integer triples (o, s, q), the line (o + s x)/q
     ladder: tuple = field(repr=False)
 
     @cached_property
     def functions(self) -> tuple:
         """w_n for n = start..horizon at stage ``horizon``, summed on first read."""
         top, steps = self.ladder
-        lines = (GridFunction(*pair) for pair in (top, *reversed(steps)))
+        lines = (
+            GridFunction(Fraction(o, q), Fraction(s, q)) for o, s, q in (top, *reversed(steps))
+        )
         return tuple(accumulate(lines, GridFunction.add))[::-1]
 
 
@@ -414,11 +460,15 @@ def simulate_intertwining(
     where B_n is stage n of the second system and Q_(n+1) pushes from
     stage n + 1 to H under it; the pushed difference is the step, and its
     sup norm the step distance.  Every push composes with a stage's mean
-    entry, so the ladder runs on (offset, slope) pairs.  A constant
-    difference (the systems differ only in point evaluations) passes
-    through Q_(n+1) unchanged and is not pushed, so the synthetic ladder
-    costs one stage difference per stage.  The rungs w_n are summed from
-    the steps when ``functions`` is first read.
+    entry, so the ladder is an affine recurrence.  It runs on integers:
+    u_n and each step are lines (o + s x)/q, held as unreduced triples
+    (o, s, q) and advanced with each stage's ``mean_ints``, and each
+    bound is decided by cross-multiplication.  A ``Fraction`` is built
+    once per reported distance and bound.  A constant difference (the
+    systems differ only in point evaluations) passes through Q_(n+1)
+    unchanged and is not pushed, so the synthetic ladder costs one stage
+    difference per stage.  The rungs w_n are summed from the steps when
+    ``functions`` is first read.
 
     Consecutive ladder elements differ only through the stage-n
     disagreement, so their sup distance is at most 2 (disagreeing
@@ -427,42 +477,60 @@ def simulate_intertwining(
     stated preconditions; a returned result therefore has every step
     within its bound.
     """
+    _require_integer("start", m)
+    _require_integer("horizon", horizon)
     if not 0 <= m <= horizon:
         raise InputError(f"need 0 <= start {m} <= horizon {horizon}")
     if horizon > len(system_a) or horizon > len(system_b):
         raise InputError("systems do not reach the requested horizon")
-    scale = max(_ONE, v.sup_norm())
-    # (offset, slope) runs through u_n from u_m = v.  With stage n's mean entries
-    # o_A + s_A x and o_B + s_B x, u_(n+1) is (offset + slope o_A, slope s_A), and
-    # B_n u_n - u_(n+1) is slope (o_B - o_A, s_B - s_A): a map both hold cancels.
-    offset, slope = v.offset, v.slope
+    # u_n = (offset + slope x)/denom runs from u_m = v.  With stage n's mean entries
+    # (o_A + s_A x)/q_A and (o_B + s_B x)/q_B, u_(n+1) is
+    # (offset q_A + slope o_A + slope s_A x)/(denom q_A), and B_n u_n - u_(n+1) is
+    # slope/denom times the mean entries' difference: a map both hold cancels.
+    offset, slope, denom = _over_lcm(v.offset, v.slope)
+    # the bounds' factor max(1, sup |v|), as scale_num/scale_den
+    scale_num, scale_den = _sup(offset, slope), denom
+    if scale_num <= scale_den:
+        scale_num = scale_den = 1
     steps, distances, bounds = [], [], []
     for n in range(m, horizon):
         a, b = system_a[n], system_b[n]
-        if a.total != b.total:
-            raise InputError(f"stage {n} multiplicity mismatch: {a.total} != {b.total}")
-        step_offset = slope * (b.mean.offset - a.mean.offset)
-        step_slope = slope * (b.mean.slope - a.mean.slope)
+        total = a.total
+        if total != b.total:
+            raise InputError(f"stage {n} multiplicity mismatch: {total} != {b.total}")
+        a_offset, a_slope, a_q = a.mean_ints
+        b_offset, b_slope, b_q = b.mean_ints
+        q = lcm(a_q, b_q)
+        to_a, to_b = q // a_q, q // b_q
+        step_offset = slope * (b_offset * to_b - a_offset * to_a)
+        step_slope = slope * (b_slope * to_b - a_slope * to_a)
+        step_denom = denom * q
         for j in range(n + 1, horizon):
             if not step_slope:  # a constant: every later push returns it unchanged
                 break
-            later = system_b[j].mean
-            step_offset += step_slope * later.offset
-            step_slope *= later.slope
-        offset, slope = offset + slope * a.mean.offset, slope * a.mean.slope
+            later_offset, later_slope, later_q = system_b[j].mean_ints
+            step_offset = step_offset * later_q + step_slope * later_offset
+            step_slope *= later_slope
+            step_denom *= later_q
+        offset, slope, denom = offset * a_q + slope * a_offset, slope * a_slope, denom * a_q
         dist = _sup(step_offset, step_slope)
-        bound = Fraction(2 * (a.total - agreement_prefix(a, b)), a.total) * scale
-        if dist > bound:
-            raise ConsistencyError(f"step {n}: distance {dist} exceeds bound {bound}")
-        steps.append((step_offset, step_slope))
-        distances.append(dist)
-        bounds.append(bound)
+        # the bound 2 (disagreeing entries)/total times the scale
+        bound_num = 2 * (total - agreement_prefix(a, b)) * scale_num
+        bound_den = total * scale_den
+        if dist * bound_den > bound_num * step_denom:
+            raise ConsistencyError(
+                f"step {n}: distance {Fraction(dist, step_denom)} exceeds bound "
+                f"{Fraction(bound_num, bound_den)}"
+            )
+        steps.append((step_offset, step_slope, step_denom))
+        distances.append(Fraction(dist, step_denom))
+        bounds.append(Fraction(bound_num, bound_den))
     return IntertwiningResult(
         start_stage=m,
         horizon=horizon,
         step_distances=tuple(distances),
         step_bounds=tuple(bounds),
-        ladder=((offset, slope), tuple(steps)),
+        ladder=((offset, slope, denom), tuple(steps)),
     )
 
 
@@ -569,6 +637,7 @@ def density_check(points: Sequence, n: int, epsilon) -> bool:
     most epsilon apart.  Points are sorted by their first 64 bits, ties
     by their exact value, and every comparison cross-multiplies integers.
     """
+    _require_integer("start index", n)
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise InputError(f"epsilon must be positive, got {shown(epsilon)}")

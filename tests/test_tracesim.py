@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil
+from unittest import mock
 
+import ladder_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ahcert.tracesim as tracesim
 from ahcert.errors import ConsistencyError, InputError
 from ahcert.params import make_explicit_family, make_geometric_family, sequences
 from ahcert.ranks import q_perp_ranks
@@ -579,6 +584,146 @@ def test_step_above_its_bound_is_a_consistency_error(table, monkeypatch):
     monkeypatch.setattr(tracesim, "agreement_prefix", lambda a, b: a.total)
     with pytest.raises(ConsistencyError, match="step 0: distance"):
         simulate_intertwining(sys_a, sys_b, v, 0, 3)
+
+
+def ladder_outcome(simulate, *args):
+    """The distances, bounds and rungs ``simulate(*args)`` returns, with
+    their types, or the type and message of what it raises."""
+    try:
+        res = simulate(*args)
+    except Exception as exc:  # compared, never swallowed
+        return ("raised", type(exc), str(exc))
+    return tuple(
+        (value, type(value))
+        for value in (*res.step_distances, *res.step_bounds, *res.functions)
+    )
+
+
+@st.composite
+def ladder_inputs(draw):
+    """Systems, v, m and H for ``simulate_intertwining``: stages whose own
+    tails are non-constant maps (so steps are pushed on), v with sup norm
+    up to 21, H from m to m + 3, and now and then H below m, a system
+    short of H or a stage whose total differs."""
+    v = GridFunction(draw(sample_values), draw(sample_values))
+    m = draw(st.integers(0, 2))
+    horizon = m + draw(st.integers(0, 3)) - (draw(st.integers(0, 7)) == 0)
+    length = max(0, horizon - (draw(st.integers(0, 5)) == 0))
+    pairs = [draw(stage_pairs()) for _ in range(length)]
+    if pairs and draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(pairs) - 1))
+        a, _ = pairs[at]
+        pairs[at] = a, StageEntries(((draw(interval_maps()), a.total + 1),))
+    return [a for a, _ in pairs], [b for _, b in pairs], v, m, horizon
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(ladder_inputs(), st.booleans())
+def test_integer_ladder_matches_the_fraction_reference(inputs, claim_full_agreement):
+    with contextlib.ExitStack() as patches:
+        if claim_full_agreement:  # every bound 0, so any nonzero step violates it
+            for module in (tracesim, reference):
+                patches.enter_context(
+                    mock.patch.object(module, "agreement_prefix", lambda a, b: a.total)
+                )
+        assert ladder_outcome(simulate_intertwining, *inputs) == ladder_outcome(
+            reference.simulate_intertwining, *inputs
+        )
+
+
+#: Every Fraction dunder that computes, compares or tests a value.
+FRACTION_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__", "__bool__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_ladder_runs_no_fraction_operator(monkeypatch):
+    pairs = {
+        stages: synthetic_system_pair(sequences(make_geometric_family(6), stages), stages)
+        for stages in (6, 8, 10)
+    }
+    v = GridFunction(0, 1)
+    calls = Counter()
+    for name in FRACTION_DUNDERS:
+        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    for stages, (sys_a, sys_b) in pairs.items():
+        simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    ladder_calls = sum(calls.values())
+    # The counters see every operator the reference runs.
+    for stages, (sys_a, sys_b) in pairs.items():
+        reference.simulate_intertwining(sys_a, sys_b, v, 0, stages)
+    reference_calls = sum(calls.values())
+    monkeypatch.undo()
+    assert ladder_calls == 0
+    assert reference_calls > 0
+
+
+def naive_agreement(a, b):
+    """The leading positions of the two stages, expanded by multiplicity,
+    that hold maps equal by value."""
+    expanded = [[m for m, c in s.entries for _ in range(c)] for s in (a, b)]
+    agreed = 0
+    for x, y in zip(*expanded):
+        if (x.offset, x.slope) != (y.offset, y.slope):
+            break
+        agreed += 1
+    return agreed
+
+
+@st.composite
+def agreeing_stages(draw):
+    """Two stages over a common leading sequence of maps from a small pool,
+    each with its own tail; each stage splits its sequence into runs at
+    its own points, and each run holds the pool's object or an equal copy."""
+    pool = draw(st.lists(interval_maps(), min_size=1, max_size=3))
+    common = draw(st.lists(st.sampled_from(pool), max_size=8))
+
+    def stage():
+        sequence = common + draw(
+            st.lists(st.sampled_from(pool), min_size=0 if common else 1, max_size=4)
+        )
+        entries = []
+        for m in sequence:
+            if entries and entries[-1][0] == m and draw(st.booleans()):
+                entries[-1] = (entries[-1][0], entries[-1][1] + 1)
+            else:
+                copy = draw(st.booleans())
+                entries.append((PiecewiseLinearMap(m.offset, m.slope) if copy else m, 1))
+        return StageEntries(tuple(entries))
+
+    return stage(), stage()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(agreeing_stages())
+def test_agreement_prefix_matches_its_naive_definition(stages):
+    a, b = stages
+    assert agreement_prefix(a, b) == agreement_prefix(b, a) == naive_agreement(a, b)
+
+
+def test_tracesim_refuses_non_integer_arguments(table):
+    sys_a, sys_b = synthetic_system_pair(table, 3)
+    v = GridFunction(0, 1)
+    with pytest.raises(InputError, match="entry multiplicity must be a positive integer"):
+        StageEntries(((identity_map(), True),))
+    refused = (
+        ("horizon", lambda: simulate_intertwining(sys_a, sys_b, v, 0, True)),
+        ("start", lambda: simulate_intertwining(sys_a, sys_b, v, 1.0, 2)),
+        ("base", lambda: van_der_corput(3, 2.5)),
+        ("point count", lambda: van_der_corput(True)),
+        ("N", lambda: round_convex_weights([Fraction(1)], Fraction(1, 2), 100.0)),
+        ("start index", lambda: density_check(van_der_corput(4), True, Fraction(1, 2))),
+    )
+    for name, call in refused:
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+            call()
 
 
 def test_push_returns_constants_unchanged_and_moves_lines():
